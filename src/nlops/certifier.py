@@ -7,7 +7,8 @@ are linear constraints on the Hermitian coordinates of E, so the admissible
 operators form a real linear space that always contains the identity.  A set
 is certified nonlocal when, for every party, that space is exactly the span
 of the identity: no party can learn anything from any orthogonality-
-preserving measurement.
+preserving measurement.  Both checks read one table per state set, built
+once: the normalized local overlap of every pair of states at every party.
 
 brute_force_constraints recomputes the same constraint rows from explicit
 full vectors in the composite space, over all pairs and with no activity
@@ -17,8 +18,8 @@ filtering, and serves as the independent cross-check of the factorized path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import prod
+from functools import lru_cache, reduce
+from math import isfinite, prod
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class Tolerances:
     tol_active: float = 1e-10
     tol_orth: float = 1e-10
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"bad-tolerance: {name}={value!r} must be finite and > 0")
+
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalityReport:
@@ -69,13 +75,8 @@ class OrthogonalityReport:
     tol: float
 
     def failing_pairs(self) -> list[tuple[int, int, float]]:
-        out = []
-        m = self.residuals.shape[0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if self.residuals[i, j] > self.tol:
-                    out.append((i, j, float(self.residuals[i, j])))
-        return out
+        pairs = np.argwhere(np.triu(self.residuals > self.tol, 1))
+        return [(int(i), int(j), float(self.residuals[i, j])) for i, j in pairs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,57 +115,51 @@ def _check_party(state_set: StateSet, party: int) -> None:
         raise ValueError(f"bad-party: party {party} out of range")
 
 
-def _grams_and_norms(state_set: StateSet):
-    """Per-party Gram matrices of the local vectors and per-party norm vectors."""
-    grams, norms = [], []
-    for j in range(state_set.n_parties):
-        u = state_set.party_vectors(j)
-        grams.append(u.conj() @ u.T)
-        norms.append(np.linalg.norm(u, axis=1))
-    return grams, norms
+@lru_cache(maxsize=1)
+def _pair_overlaps(state_set: StateSet):
+    """One read-only table per state set: every pair's normalized local overlaps.
+
+    Returns (iu, jv, units, g): the pairs a < b, each party's unit local vectors,
+    and g[j, p] = <u_a|u_b> / (|u_a| |u_b|) at party j for pair p = (iu[p], jv[p]).
+    Cached for the last set: its orthogonality check and every party's assembly.
+    """
+    iu, jv = np.triu_indices(len(state_set), 1)
+    units = tuple(u / np.linalg.norm(u, axis=1)[:, None]
+                  for u in map(state_set.party_vectors, range(state_set.n_parties)))
+    g = np.empty((len(units), iu.size), dtype=np.complex128)
+    for j, u in enumerate(units):
+        g[j] = (u.conj() @ u.T)[iu, jv]
+    for a in (iu, jv, g, *units):
+        a.flags.writeable = False
+    return iu, jv, units, g
 
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:
     """Relative overlap residual for every unordered pair; pass iff all are <= tol."""
-    m = len(state_set)
-    if m < 2:
-        return OrthogonalityReport(True, 0.0, np.zeros((m, m)), tol)
-    grams, norms = _grams_and_norms(state_set)
-    overlap = reduce(np.multiply, grams)
-    scale = reduce(np.multiply, (np.outer(v, v) for v in norms))
-    residuals = np.abs(overlap) / scale
-    np.fill_diagonal(residuals, 0.0)
-    max_residual = float(residuals.max())
+    iu, jv, _, g = _pair_overlaps(state_set)
+    residuals = np.zeros((len(state_set),) * 2)
+    residuals[iu, jv] = residuals[jv, iu] = np.abs(g.prod(axis=0))
+    max_residual = float(residuals.max(initial=0.0))
     return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
 
 
 def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e-10) -> np.ndarray:
     """Real constraint matrix on the party's Hermitian coordinates.
 
-    Each unordered pair (a, b) whose excluded-party overlap product exceeds
-    tol_active (relative to the excluded norms) contributes two rows, the real
-    and imaginary parts of the functional x -> <u_a|E(x)|u_b>, normalized by
-    the two local norms.  Inactive pairs contribute nothing.
+    Each unordered pair (a, b) whose normalized overlap product over the
+    other parties exceeds tol_active contributes two rows, the real and
+    imaginary parts of the functional x -> <u_a|E(x)|u_b> on the party's
+    normalized local vectors.  Inactive pairs contribute nothing.
     """
     _check_party(state_set, party)
     d = state_set.dims[party]
-    m = len(state_set)
-    if m < 2:
-        return np.zeros((0, d * d))
-    grams, norms = _grams_and_norms(state_set)
-    rest = [j for j in range(state_set.n_parties) if j != party]
-    overlap = reduce(np.multiply, (grams[j] for j in rest))
-    scale = reduce(np.multiply, (np.outer(norms[j], norms[j]) for j in rest))
-    iu, jv = np.triu_indices(m, 1)
-    active = np.abs(overlap[iu, jv]) > tol_active * scale[iu, jv]
+    iu, jv, units, g = _pair_overlaps(state_set)
+    active = np.abs(g.prod(axis=0, where=np.arange(len(g))[:, None] != party)) > tol_active
     ia, jb = iu[active], jv[active]
-    if ia.size == 0:
-        return np.zeros((0, d * d))
-    u = state_set.party_vectors(party)
+    u = units[party]
     # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
     w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
     values = w @ hermitian_basis_flat(d).T
-    values /= (norms[party][ia] * norms[party][jb])[:, None]
     rows = np.empty((2 * ia.size, d * d))
     rows[0::2] = values.real
     rows[1::2] = values.imag

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from math import prod
 
 import numpy as np
@@ -21,6 +22,8 @@ from .certifier import (
     check_pairwise_orthogonality,
 )
 from .constructions import (
+    HOMOGENEOUS_GRID,
+    heterogeneous_dims,
     product_basis,
     theorem1_set,
     theorem2_set,
@@ -33,7 +36,6 @@ from .tensor_core import nullspace_real
 
 __all__ = ["main", "build_parser"]
 
-_HOMOGENEOUS_GRID = [(n, d) for n in range(3, 7) for d in range(2, 7)]
 # Higher-dimension sets whose smallest kept singular value sits well below
 # 0.1 of the largest: they certify at the default rank tolerance but expose
 # a misconfigured (too coarse) tol_rank as reported failures.
@@ -82,11 +84,11 @@ def cmd_generate(args) -> int:
 
 def cmd_certify(args) -> int:
     try:
+        tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
         state_set = load_state_set(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
     cert = certify_nonlocal(state_set, tol)
 
     print(f"state set     : {cert.label or '(unlabeled)'}")
@@ -120,15 +122,6 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
-
-def _heterogeneous_sample(count: int = 12, seed: int = _SELFTEST_SEED):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(3, 6))
-        out.append(tuple(int(x) for x in rng.integers(2, 6, size=n)))
-    return out
-
 
 def _cross_residual(basis: np.ndarray, rows: np.ndarray) -> float:
     if basis.shape[1] == 0 or rows.shape[0] == 0:
@@ -176,7 +169,7 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
     add("cramer-vs-dense-solver", worst <= 1e-9, f"max deviation {worst:.3e}")
 
     sweep = []
-    for n, d in _HOMOGENEOUS_GRID:
+    for n, d in HOMOGENEOUS_GRID:
         t1, t2 = theorem1_set(n, d), theorem2_set(n, d)
         add(f"count {t1.label}", len(t1) == 2 * n * (d - 1),
             f"{len(t1)} vs {2 * n * (d - 1)}")
@@ -185,7 +178,7 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
         sweep.extend([t1, t2])
     for n, d in _RANK_STRESS_GRID:
         sweep.append(theorem1_set(n, d))
-    for dims in _heterogeneous_sample():
+    for dims in heterogeneous_dims(12, _SELFTEST_SEED):
         t3, t4 = theorem3_set(dims), theorem4_set(dims)
         add(f"count {t3.label}", len(t3) == sum(2 * (d - 1) for d in dims))
         add(f"count {t4.label}", len(t4) == sum(2 * d - 3 for d in dims) + 1)
@@ -239,7 +232,11 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
 
 
 def cmd_selftest(args) -> int:
-    tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
+    try:
+        tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     checks = _selftest_checks(args.max_total_dim, tol)
     failures = 0
     for name, ok, detail in checks:
@@ -273,18 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="certify a state-set file")
     cert.add_argument("input", help="state-set file to certify")
     cert.add_argument("--out", help="also write a machine-readable certificate")
-    cert.add_argument("--tol-rank", type=float, default=Tolerances.tol_rank)
-    cert.add_argument("--tol-active", type=float, default=Tolerances.tol_active)
-    cert.add_argument("--tol-orth", type=float, default=Tolerances.tol_orth)
     cert.set_defaults(func=cmd_certify)
 
     st = sub.add_parser("selftest", help="run the built-in verification battery")
     st.add_argument("--max-total-dim", type=int, default=MAX_BRUTE_FORCE_DIM,
                     help="skip certification sweeps above this composite dimension")
-    st.add_argument("--tol-rank", type=float, default=Tolerances.tol_rank)
-    st.add_argument("--tol-active", type=float, default=Tolerances.tol_active)
-    st.add_argument("--tol-orth", type=float, default=Tolerances.tol_orth)
     st.set_defaults(func=cmd_selftest)
+
+    for command in (cert, st):
+        for f in fields(Tolerances):
+            command.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
 
     return parser
 

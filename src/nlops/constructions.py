@@ -153,6 +153,16 @@ def product_basis(dims) -> StateSet:
     return StateSet(dims, states, label=f"product-basis dims={_dims_label(dims)}")
 
 
+# The (n, d) grid of the acceptance sweep that `nlops selftest` and the tests share.
+HOMOGENEOUS_GRID = [(n, d) for n in range(3, 7) for d in range(2, 7)]
+
+
+def heterogeneous_dims(count: int, seed: int) -> list[tuple[int, ...]]:
+    """Frozen random dimension tuples: n in 3..5 parties, each d_j in 2..5."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.integers(2, 6, size=rng.integers(3, 6)).tolist()) for _ in range(count)]
+
+
 def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     """True iff the two sets match up to one nonzero complex scalar per state.
 

@@ -2,23 +2,10 @@
 
 from functools import lru_cache
 
-import numpy as np
-
 from nlops import theorem1_set, theorem2_set, theorem3_set, theorem4_set
+from nlops.constructions import HOMOGENEOUS_GRID, heterogeneous_dims
 
-HOMOGENEOUS_GRID = [(n, d) for n in range(3, 7) for d in range(2, 7)]
-HETEROGENEOUS_SEED = 20260810
-MAX_ORACLE_DIM = 4096
-
-
-def heterogeneous_tuples(count=20, seed=HETEROGENEOUS_SEED):
-    """Frozen random dimension tuples: n in 3..5, each d_j in 2..5."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(3, 6))
-        out.append(tuple(int(x) for x in rng.integers(2, 6, size=n)))
-    return out
+HETEROGENEOUS_DIMS = heterogeneous_dims(count=20, seed=20260810)
 
 
 @lru_cache(maxsize=1)
@@ -28,7 +15,7 @@ def sweep_sets():
     for n, d in HOMOGENEOUS_GRID:
         sets.append(theorem1_set(n, d))
         sets.append(theorem2_set(n, d))
-    for dims in heterogeneous_tuples():
+    for dims in HETEROGENEOUS_DIMS:
         sets.append(theorem3_set(dims))
         sets.append(theorem4_set(dims))
     return tuple(sets)

@@ -10,6 +10,7 @@ from math import prod
 import numpy as np
 
 from nlops import (
+    MAX_BRUTE_FORCE_DIM,
     ProductState,
     StateSet,
     assemble_constraints,
@@ -33,7 +34,7 @@ from nlops import (
 )
 from nlops.cli import main as cli_main
 
-from sweeps import HOMOGENEOUS_GRID, MAX_ORACLE_DIM, heterogeneous_tuples, sweep_sets
+from sweeps import HETEROGENEOUS_DIMS, HOMOGENEOUS_GRID, sweep_sets
 
 
 def _finish(num, desc, failures, elapsed, budget):
@@ -59,7 +60,7 @@ def test_criterion_1_homogeneous_cardinalities():
 def test_criterion_2_heterogeneous_cardinalities():
     start = time.perf_counter()
     failures = []
-    for dims in heterogeneous_tuples():
+    for dims in HETEROGENEOUS_DIMS:
         if len(theorem3_set(dims)) != sum(2 * (d - 1) for d in dims):
             failures.append(("theorem3", dims))
         if len(theorem4_set(dims)) != sum(2 * d - 3 for d in dims) + 1:
@@ -81,7 +82,7 @@ def test_criterion_3_orthogonality():
 
 
 def test_criterion_4_nonlocality_certificates():
-    sets = [s for s in sweep_sets() if prod(s.dims) <= MAX_ORACLE_DIM]
+    sets = [s for s in sweep_sets() if prod(s.dims) <= MAX_BRUTE_FORCE_DIM]
     start = time.perf_counter()
     failures = []
     for state_set in sets:
@@ -112,7 +113,7 @@ def test_criterion_5_negative_control():
 
 
 def test_criterion_6_oracle_equivalence():
-    sets = [s for s in sweep_sets() if prod(s.dims) <= MAX_ORACLE_DIM]
+    sets = [s for s in sweep_sets() if prod(s.dims) <= MAX_BRUTE_FORCE_DIM]
     start = time.perf_counter()
     failures = []
     for state_set in sets:

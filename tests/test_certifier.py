@@ -23,6 +23,7 @@ from nlops import (
     theorem3_set,
     theorem4_set,
 )
+from nlops import certifier
 
 
 def _constraint_rows(u, v):
@@ -274,3 +275,35 @@ def test_tolerances_threaded_through():
     cert = certify_nonlocal(theorem1_set(3, 2), Tolerances(tol_rank=1e-6))
     assert cert.tolerances.tol_rank == 1e-6
     assert cert.certified_nonlocal
+
+
+# ---------------------------------------------------------------------------
+# the shared pair-overlap table
+# ---------------------------------------------------------------------------
+
+def test_certificate_reads_each_party_once(monkeypatch):
+    calls = []
+    party_vectors = StateSet.party_vectors
+
+    def counting(self, party):
+        calls.append(party)
+        return party_vectors(self, party)
+
+    monkeypatch.setattr(StateSet, "party_vectors", counting)
+    certify_nonlocal(theorem1_set(6, 3))
+    assert sorted(calls) == list(range(6))
+
+
+def test_overlap_table_is_not_shared_between_sets():
+    s = theorem2_set(3, 3)
+    first = certify_nonlocal(s)
+    dup = StateSet(s.dims, s.states + (s.states[0],), label="dup")
+    assert certify_nonlocal(dup).verdict == "NOT_ORTHOGONAL"
+    again = certify_nonlocal(s)
+    assert first.verdict == again.verdict == "CERTIFIED_NONLOCAL"
+    assert again.orthogonality.max_residual == first.orthogonality.max_residual
+    np.testing.assert_array_equal(again.orthogonality.residuals, first.orthogonality.residuals)
+    assert [(p.active_pairs, p.solution_dim, p.trivial) for p in again.parties] == [
+        (p.active_pairs, p.solution_dim, p.trivial) for p in first.parties]
+    iu, jv, units, g = certifier._pair_overlaps(s)
+    assert not any(a.flags.writeable for a in (iu, jv, g, *units))

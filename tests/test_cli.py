@@ -115,6 +115,21 @@ def test_cli_roundtrip_is_byte_identical(tmp_path):
     assert dumps_state_set(load_state_set(state_file)) == text
 
 
+@pytest.mark.parametrize("command", ["certify", "selftest"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-active", "-1"), ("--tol-orth", "inf"),
+])
+def test_bad_tolerance_exits_2_with_one_line_error(tmp_path, capsys, command, flag, value):
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 3), state_file)
+    argv = [command, str(state_file)] if command == "certify" else [command]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: bad-tolerance: {flag[2:].replace('-', '_')}=")
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--theorem", "9", "--n", "3", "--d", "2", "--out", "x"])
