@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .tensor_core import ProductState, StateSet, product_inner
+from .tensor_core import ProductState, StateSet
 
 __all__ = [
     "phase_vector",
@@ -73,13 +73,12 @@ def _validated_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def _cyclic_state(dims: tuple[int, ...], party: int, t: int, level: int) -> ProductState:
-    """Phase t on `party`, basis `level` on the next party, |0> elsewhere."""
-    n = len(dims)
-    partner = (party + 1) % n
-    locs = [basis_vector(d, 0) for d in dims]
-    locs[party] = phase_vector(dims[party], t)
-    locs[partner] = basis_vector(dims[partner], level)
+def _cyclic_state(zeros: tuple[np.ndarray, ...], party: int, t: int, level: int) -> ProductState:
+    """Phase t on `party`, basis `level` on the next party, zeros[j] = |0> elsewhere."""
+    partner = (party + 1) % len(zeros)
+    locs = list(zeros)
+    locs[party] = phase_vector(zeros[party].size, t)
+    locs[partner] = basis_vector(zeros[partner].size, level)
     return ProductState(tuple(locs))
 
 
@@ -95,14 +94,15 @@ def theorem3_set(dims) -> StateSet:
     """
     dims = _validated_dims(dims)
     n = len(dims)
+    zeros = tuple(basis_vector(d, 0) for d in dims)
     states = []
     for i in range(n):
         top = dims[(i + 1) % n] - 1
         for t in range(dims[i]):
-            states.append(_cyclic_state(dims, i, t, top))
+            states.append(_cyclic_state(zeros, i, t, top))
     for i in range(n):
         for q in range(1, dims[(i + 1) % n] - 1):
-            states.append(_cyclic_state(dims, i, 1, q))
+            states.append(_cyclic_state(zeros, i, 1, q))
     return StateSet(dims, tuple(states), label=f"theorem3 dims={_dims_label(dims)}")
 
 
@@ -115,14 +115,15 @@ def theorem4_set(dims) -> StateSet:
     """
     dims = _validated_dims(dims)
     n = len(dims)
+    zeros = tuple(basis_vector(d, 0) for d in dims)
     states = []
     for i in range(n):
         top = dims[(i + 1) % n] - 1
         for t in range(1, dims[i]):
-            states.append(_cyclic_state(dims, i, t, top))
+            states.append(_cyclic_state(zeros, i, t, top))
     for i in range(n):
         for q in range(1, dims[(i + 1) % n] - 1):
-            states.append(_cyclic_state(dims, i, 1, q))
+            states.append(_cyclic_state(zeros, i, 1, q))
     states.append(ProductState(tuple(phase_vector(d, 0) for d in dims)))
     return StateSet(dims, tuple(states), label=f"theorem4 dims={_dims_label(dims)}")
 
@@ -146,10 +147,8 @@ def product_basis(dims) -> StateSet:
     for certification.
     """
     dims = tuple(int(d) for d in dims)
-    states = tuple(
-        ProductState(tuple(basis_vector(d, j) for d, j in zip(dims, levels)))
-        for levels in itertools.product(*(range(d) for d in dims))
-    )
+    bases = [[basis_vector(d, j) for j in range(d)] for d in dims]
+    states = tuple(ProductState(locs) for locs in itertools.product(*bases))
     return StateSet(dims, states, label=f"product-basis dims={_dims_label(dims)}")
 
 
@@ -174,13 +173,16 @@ def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     if len(a.states) != len(b.states):
         return False
     m = len(a.states)
-    if m == 0:
-        return True
-    parallel = np.zeros((m, m), dtype=bool)
-    for i, sa in enumerate(a.states):
-        for j, sb in enumerate(b.states):
-            ov = abs(product_inner(sa, sb)) ** 2
-            full = (sa.norm * sb.norm) ** 2
-            parallel[i, j] = abs(ov - full) <= tol * full
+    overlap = np.ones((m, m), dtype=np.complex128)
+    norm_a = np.ones(m)
+    norm_b = np.ones(m)
+    for party in range(a.n_parties):
+        va, vb = a.party_vectors(party), b.party_vectors(party)
+        overlap *= va.conj() @ vb.T
+        norm_a *= np.linalg.norm(va, axis=1)
+        norm_b *= np.linalg.norm(vb, axis=1)
+    ov = np.abs(overlap) ** 2
+    full = np.outer(norm_a, norm_b) ** 2
+    parallel = np.abs(ov - full) <= tol * full
     row, col = linear_sum_assignment(1.0 - parallel.astype(float))
     return bool(parallel[row, col].all())

@@ -33,15 +33,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _state_line(state: ProductState, normalize: bool) -> str:
-    parts = []
-    for vec in state.factors:
-        if normalize:
-            vec = vec / np.linalg.norm(vec)
-        parts.append(
-            "[" + ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in vec) + "]"
-        )
-    return "[" + ", ".join(parts) + "]"
+def _vector_text(vec: np.ndarray, normalize: bool) -> str:
+    if normalize:
+        vec = vec / np.linalg.norm(vec)
+    return "[" + ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in vec.tolist()) + "]"
 
 
 def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
@@ -53,10 +48,20 @@ def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
         f'  "label": {json.dumps(state_set.label)},',
         '  "states": [',
     ]
+    # The families repeat a few local vectors many times: format each once.
+    # Keys are the exact bytes, so 0.0 and -0.0 keep their own spellings.
+    texts: dict[bytes, str] = {}
     last = len(state_set.states) - 1
     for idx, state in enumerate(state_set.states):
+        parts = []
+        for vec in state.factors:
+            key = vec.tobytes()
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = _vector_text(vec, normalize)
+            parts.append(text)
         comma = "," if idx < last else ""
-        lines.append("    " + _state_line(state, normalize) + comma)
+        lines.append("    [" + ", ".join(parts) + "]" + comma)
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -65,6 +70,10 @@ def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
 def dump_state_set(state_set: StateSet, path: str | os.PathLike, normalize: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_state_set(state_set, normalize))
+
+
+# Amplitude types a file may hold; bool is a subclass of int and is refused.
+_NUMBER = (int, float)
 
 
 def _require(cond: bool, what: str) -> None:
@@ -76,40 +85,42 @@ def loads_state_set(text: str) -> StateSet:
     """Parse and validate a serialized state set."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers longer than Python's digit limit.
         raise ValueError(f"malformed-file: invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION!r}")
     dims = doc.get("dims")
     _require(isinstance(dims, list) and len(dims) >= 2, "dims must list >= 2 parties")
-    _require(all(isinstance(d, int) and d >= 1 for d in dims),
+    _require(all(type(d) is int and d >= 1 for d in dims),
              "dims must be positive integers")
     label = doc.get("label", "")
     _require(isinstance(label, str), "label must be a string")
     raw_states = doc.get("states")
     _require(isinstance(raw_states, list), "states must be an array")
+    # Messages are formatted only on failure: the loop visits every local vector.
     states = []
     for s_idx, raw in enumerate(raw_states):
-        _require(isinstance(raw, list) and len(raw) == len(dims),
-                 f"state {s_idx} must have one entry per party")
+        if not (isinstance(raw, list) and len(raw) == len(dims)):
+            raise ValueError(f"malformed-file: state {s_idx} must have one entry per party")
         factors = []
         for p_idx, (raw_vec, d) in enumerate(zip(raw, dims)):
-            _require(isinstance(raw_vec, list) and len(raw_vec) == d,
-                     f"state {s_idx} party {p_idx} must have {d} amplitudes")
-            amps = []
-            for pair in raw_vec:
-                _require(
-                    isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                            for v in pair),
-                    f"state {s_idx} party {p_idx}: amplitudes must be [re, im] numbers",
-                )
-                amps.append(complex(pair[0], pair[1]))
-            _require(all(np.isfinite(z.real) and np.isfinite(z.imag) for z in amps),
-                     f"state {s_idx} party {p_idx}: amplitudes must be finite")
-            factors.append(np.asarray(amps, dtype=np.complex128))
+            if not (isinstance(raw_vec, list) and len(raw_vec) == d):
+                raise ValueError(
+                    f"malformed-file: state {s_idx} party {p_idx} must have {d} amplitudes")
+            if not all(type(pair) is list and len(pair) == 2
+                       and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER
+                       for pair in raw_vec):
+                raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
+                                 "amplitudes must be [re, im] numbers")
+            try:
+                factors.append(np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel())
+            except OverflowError as exc:
+                raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
+                                 "amplitude too large for a float") from exc
         try:
+            # ProductState rejects non-finite amplitudes and all-zero vectors.
             states.append(ProductState(tuple(factors)))
         except ValueError as exc:
             raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,31 +29,33 @@ __all__ = [
 ]
 
 
-def _as_amplitudes(amps) -> np.ndarray:
-    """Coerce one party's amplitudes to a frozen 1-D complex array."""
-    a = np.asarray(amps, dtype=np.complex128)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("bad-local: amplitudes must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("bad-local: amplitudes must be finite")
-    if not np.any(a != 0):
-        raise ValueError("bad-local: a local vector needs at least one nonzero amplitude")
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ProductState:
-    """Unnormalized tensor product, stored as one local vector per party."""
+    """Unnormalized tensor product, stored as one local vector per party.
+
+    The factors are read-only views of one private buffer, so later changes
+    to the caller's arrays do not reach the state.
+    """
 
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        factors = tuple(_as_amplitudes(f) for f in self.factors)
-        if not factors:
+        parts = [np.asarray(f, dtype=np.complex128) for f in self.factors]
+        if not parts:
             raise ValueError("bad-state: a product state needs at least one party")
-        object.__setattr__(self, "factors", factors)
+        if any(p.ndim != 1 or p.size == 0 for p in parts):
+            raise ValueError("bad-local: amplitudes must be a nonempty 1-D sequence")
+        flat = np.concatenate(parts)
+        if not np.isfinite(flat).all():
+            raise ValueError("bad-local: amplitudes must be finite")
+        ends = list(accumulate(p.size for p in parts))
+        starts = [0] + ends[:-1]
+        if not np.logical_or.reduceat(flat != 0, starts).all():
+            raise ValueError("bad-local: a local vector needs at least one nonzero amplitude")
+        flat.flags.writeable = False
+        object.__setattr__(
+            self, "factors", tuple(flat[a:b] for a, b in zip(starts, ends))
+        )
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -94,6 +94,20 @@ def test_certify_malformed_file_exits_2(tmp_path, capsys):
     assert "malformed-file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_certify_huge_integer_amplitude_exits_2_with_one_line_error(tmp_path, capsys, digits):
+    bad = tmp_path / "huge.json"
+    bad.write_text(
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": '
+        '[[[[1' + "0" * digits + ', 0], [0, 0]], [[1, 0], [0, 0]]]]}'
+    )
+    assert main(["certify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: malformed-file")
+
+
 def test_certify_missing_file_exits_2(tmp_path):
     assert main(["certify", str(tmp_path / "missing.json")]) == 2
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nlops import (
+    ProductState,
+    StateSet,
     certify_nonlocal,
     dumps_certificate,
     dumps_state_set,
@@ -14,6 +16,8 @@ from nlops import (
     theorem4_set,
 )
 from nlops.serialize import certificate_to_dict
+
+from sweeps import sweep_sets
 
 
 def test_roundtrip_is_byte_identical():
@@ -73,6 +77,27 @@ def test_normalized_export_has_unit_locals_and_same_verdict():
         '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [Infinity, 0]], [[1, 0], [0, 0]]]]}',
         # all-zero local vector
         '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}',
+        # one-element pair
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1], [0, 0]], [[1, 0], [0, 0]]]]}',
+        # three-element pair
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0, 0], [0, 0]], [[1, 0], [0, 0]]]]}',
+        # null amplitude
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], null], [[1, 0], [0, 0]]]]}',
+        # nested-list amplitude
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [[0], 0]], [[1, 0], [0, 0]]]]}',
+        # string in the imaginary slot
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, "0"], [0, 0]], [[1, 0], [0, 0]]]]}',
+        # NaN amplitude
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [NaN, 0]], [[1, 0], [0, 0]]]]}',
+        pytest.param(
+            '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1' + '0' * 400 + ', 0], [0, 0]], [[1, 0], [0, 0]]]]}',
+            id="integer-too-large-for-a-float"),
+        pytest.param(
+            '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1' + '0' * 5000 + ', 0], [0, 0]], [[1, 0], [0, 0]]]]}',
+            id="integer-past-the-digit-limit"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nesting-past-the-recursion-limit"),
+        # boolean dimension
+        '{"format_version": "nlops-1", "dims": [true, 2], "label": "", "states": []}',
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -103,3 +128,54 @@ def test_certificate_dict_includes_witness_when_not_trivial():
     for entry in doc["parties"]:
         assert entry["witness"]["dim"] == 2
         assert len(entry["witness"]["coords"]) == 4
+
+
+def _reference_dump(state_set, normalize):
+    """Independent writer: formats every amplitude of every state, no memo."""
+    def num(x):
+        return format(float(x), ".17g")
+
+    lines = []
+    for state in state_set.states:
+        vecs = []
+        for vec in state.factors:
+            if normalize:
+                vec = vec / np.linalg.norm(vec)
+            vecs.append("[" + ", ".join(f"[{num(z.real)}, {num(z.imag)}]" for z in vec) + "]")
+        lines.append("    [" + ", ".join(vecs) + "]")
+    return (
+        "{\n"
+        '  "format_version": "nlops-1",\n'
+        f'  "dims": {json.dumps(list(state_set.dims))},\n'
+        f'  "label": {json.dumps(state_set.label)},\n'
+        '  "states": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+    )
+
+
+def _signed_zero_set():
+    # The same vectors up to the sign of a zero amplitude: a dump memo keyed
+    # on values, not bytes, would merge them.
+    a = ProductState((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    b = ProductState((np.array([1.0, -0.0]), np.array([-0.0, 1.0])))
+    c = ProductState((np.array([complex(1, -0.0), 0.0]), np.array([0.0, 1.0])))
+    return StateSet((2, 2), (a, b, c, a), label="signed zeros")
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_dump_matches_per_amplitude_reference(normalize):
+    for state_set in sweep_sets():
+        text = dumps_state_set(state_set, normalize=normalize)
+        assert text == _reference_dump(state_set, normalize), state_set.label
+        assert dumps_state_set(loads_state_set(text)) == text, state_set.label
+    signed = _signed_zero_set()
+    assert dumps_state_set(signed, normalize) == _reference_dump(signed, normalize)
+
+
+def test_dump_keeps_both_spellings_of_zero():
+    lines = dumps_state_set(_signed_zero_set()).splitlines()[5:9]
+    assert lines == [
+        "    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],",
+        "    [[[1, 0], [-0, 0]], [[-0, 0], [1, 0]]],",
+        "    [[[1, -0], [0, 0]], [[0, 0], [1, 0]]],",
+        "    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
+    ]

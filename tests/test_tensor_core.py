@@ -126,6 +126,27 @@ def test_product_state_factors_are_frozen():
         s.factors[0][0] = 5.0
 
 
+def test_product_state_owns_its_amplitudes():
+    first = np.array([1.0, 2.0j])
+    second = np.array([3.0, 0.0, -1.0], dtype=np.complex128)
+    s = ProductState((first, second))
+    first[:] = 0
+    second[0] = np.nan
+    assert np.array_equal(s.factors[0], [1.0, 2.0j])
+    assert np.array_equal(s.factors[1], [3.0, 0.0, -1.0])
+    assert s.dims == (2, 3)
+    assert not any(f.flags.writeable for f in s.factors)
+
+
+def test_product_state_rejects_zero_and_infinite_factors_together():
+    with pytest.raises(ValueError, match="bad-local"):
+        ProductState(([0, 0], [np.inf, 1]))
+    with pytest.raises(ValueError, match="bad-local"):
+        ProductState(([1, 1], [0, 0, 0], [1, 0]))
+    with pytest.raises(ValueError, match="bad-local"):
+        ProductState(([1, 1], [0, 0, 1], [0, 0]))
+
+
 def test_state_set_validation():
     good = ProductState(([1, 0], [0, 1]))
     with pytest.raises(ValueError, match="dim-mismatch"):
