@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import isfinite, prod
+from math import prod
 
 import numpy as np
 
 from .tensor_core import (
     HermitianCoords,
     StateSet,
+    check_tolerance,
     hermitian_basis_flat,
     nullspace_real,
 )
@@ -61,8 +62,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"bad-tolerance: {name}={value!r} must be finite and > 0")
+            check_tolerance(name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +136,7 @@ def _pair_overlaps(state_set: StateSet):
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:
     """Relative overlap residual for every unordered pair; pass iff all are <= tol."""
+    check_tolerance("tol", tol)
     iu, jv, _, g = _pair_overlaps(state_set)
     residuals = np.zeros((len(state_set),) * 2)
     residuals[iu, jv] = residuals[jv, iu] = np.abs(g.prod(axis=0))
@@ -152,6 +153,7 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     normalized local vectors.  Inactive pairs contribute nothing.
     """
     _check_party(state_set, party)
+    check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     iu, jv, units, g = _pair_overlaps(state_set)
     active = np.abs(g.prod(axis=0, where=np.arange(len(g))[:, None] != party)) > tol_active

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .tensor_core import ProductState, StateSet
 
@@ -86,6 +85,20 @@ def _dims_label(dims) -> str:
     return "x".join(str(d) for d in dims)
 
 
+def _cyclic_family(dims: tuple[int, ...], stopper: bool, label: str) -> StateSet:
+    """Block A families 0..n-1 (t ascending, from 1 with a stopper), Block B
+    families 0..n-1 (q ascending), then the all-ones stopper if asked for."""
+    n = len(dims)
+    zeros = tuple(basis_vector(d, 0) for d in dims)
+    states = [_cyclic_state(zeros, i, t, dims[(i + 1) % n] - 1)
+              for i in range(n) for t in range(int(stopper), dims[i])]
+    states += [_cyclic_state(zeros, i, 1, q)
+               for i in range(n) for q in range(1, dims[(i + 1) % n] - 1)]
+    if stopper:
+        states.append(ProductState(tuple(phase_vector(d, 0) for d in dims)))
+    return StateSet(dims, tuple(states), label=label)
+
+
 def theorem3_set(dims) -> StateSet:
     """The sum(2*(d_j - 1)) orthogonal product states on heterogeneous dims.
 
@@ -93,17 +106,7 @@ def theorem3_set(dims) -> StateSet:
     families 0..n-1 with the marker level q ascending.
     """
     dims = _validated_dims(dims)
-    n = len(dims)
-    zeros = tuple(basis_vector(d, 0) for d in dims)
-    states = []
-    for i in range(n):
-        top = dims[(i + 1) % n] - 1
-        for t in range(dims[i]):
-            states.append(_cyclic_state(zeros, i, t, top))
-    for i in range(n):
-        for q in range(1, dims[(i + 1) % n] - 1):
-            states.append(_cyclic_state(zeros, i, 1, q))
-    return StateSet(dims, tuple(states), label=f"theorem3 dims={_dims_label(dims)}")
+    return _cyclic_family(dims, False, f"theorem3 dims={_dims_label(dims)}")
 
 
 def theorem4_set(dims) -> StateSet:
@@ -114,30 +117,17 @@ def theorem4_set(dims) -> StateSet:
     families 0..n-1 (q ascending), stopper last.
     """
     dims = _validated_dims(dims)
-    n = len(dims)
-    zeros = tuple(basis_vector(d, 0) for d in dims)
-    states = []
-    for i in range(n):
-        top = dims[(i + 1) % n] - 1
-        for t in range(1, dims[i]):
-            states.append(_cyclic_state(zeros, i, t, top))
-    for i in range(n):
-        for q in range(1, dims[(i + 1) % n] - 1):
-            states.append(_cyclic_state(zeros, i, 1, q))
-    states.append(ProductState(tuple(phase_vector(d, 0) for d in dims)))
-    return StateSet(dims, tuple(states), label=f"theorem4 dims={_dims_label(dims)}")
+    return _cyclic_family(dims, True, f"theorem4 dims={_dims_label(dims)}")
 
 
 def theorem1_set(n: int, d: int) -> StateSet:
     """The 2n(d-1) states on n parties of equal dimension d."""
-    base = theorem3_set((int(d),) * int(n))
-    return StateSet(base.dims, base.states, label=f"theorem1 n={n} d={d}")
+    return _cyclic_family(_validated_dims((int(d),) * int(n)), False, f"theorem1 n={n} d={d}")
 
 
 def theorem2_set(n: int, d: int) -> StateSet:
     """The n(2d-3)+1 states (stopper included) on n parties of equal dimension d."""
-    base = theorem4_set((int(d),) * int(n))
-    return StateSet(base.dims, base.states, label=f"theorem2 n={n} d={d}")
+    return _cyclic_family(_validated_dims((int(d),) * int(n)), True, f"theorem2 n={n} d={d}")
 
 
 def product_basis(dims) -> StateSet:
@@ -162,6 +152,36 @@ def heterogeneous_dims(count: int, seed: int) -> list[tuple[int, ...]]:
     return [tuple(rng.integers(2, 6, size=rng.integers(3, 6)).tolist()) for _ in range(count)]
 
 
+def _has_perfect_matching(parallel: np.ndarray) -> bool:
+    """True iff every row of a square boolean matrix gets its own True column.
+
+    Kuhn's augmenting paths, grown breadth-first with arrays, not recursion:
+    a row takes a free True column when it reaches one, and follows chains
+    of already matched rows only when it has none.
+    """
+    m = len(parallel)
+    owner = np.full(m, -1)  # owner[c]: the row holding column c, or -1
+    held = np.full(m, -1)  # held[r]: the column row r holds, or -1
+    for root in range(m):
+        reached_by = np.full(m, -1)  # reached_by[c]: the row whose True reached c
+        frontier = np.array([root])
+        while frontier.size:
+            edges = parallel[frontier]
+            cols = np.flatnonzero(edges.any(axis=0) & (reached_by < 0))
+            reached_by[cols] = frontier[edges[:, cols].argmax(axis=0)]
+            free = cols[owner[cols] < 0]
+            if free.size:
+                break
+            frontier = owner[cols]
+        else:
+            return False
+        col = free[0]
+        while col >= 0:  # each row on the path moves to the column it reached
+            row = reached_by[col]
+            owner[col], held[row], col = row, col, held[row]
+    return True
+
+
 def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     """True iff the two sets match up to one nonzero complex scalar per state.
 
@@ -184,5 +204,4 @@ def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     ov = np.abs(overlap) ** 2
     full = np.outer(norm_a, norm_b) ** 2
     parallel = np.abs(ov - full) <= tol * full
-    row, col = linear_sum_assignment(1.0 - parallel.astype(float))
-    return bool(parallel[row, col].all())
+    return _has_perfect_matching(parallel)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -76,6 +77,14 @@ def dump_state_set(state_set: StateSet, path: str | os.PathLike, normalize: bool
 _NUMBER = (int, float)
 
 
+# A bare -0 amplitude, which json reads as the integer 0 and so drops its sign.
+_NEGATIVE_ZERO = re.compile(r"-0[,\]\s]")
+
+
+def _int_keeping_negative_zero(digits: str) -> int | float:
+    return -0.0 if digits == "-0" else int(digits)
+
+
 def _require(cond: bool, what: str) -> None:
     if not cond:
         raise ValueError(f"malformed-file: {what}")
@@ -84,7 +93,9 @@ def _require(cond: bool, what: str) -> None:
 def loads_state_set(text: str) -> StateSet:
     """Parse and validate a serialized state set."""
     try:
-        doc = json.loads(text)
+        # The -0 parser runs only when needed: it doubles decode time.
+        doc = json.loads(text, parse_int=_int_keeping_negative_zero
+                         if _NEGATIVE_ZERO.search(text) else None)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers integers longer than Python's digit limit.
         raise ValueError(f"malformed-file: invalid JSON ({exc})") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import isfinite
 
 import numpy as np
 
@@ -244,6 +245,12 @@ def matrix_to_coords(m, tol: float = 1e-10) -> HermitianCoords:
     return HermitianCoords(d, coords)
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Raise bad-tolerance unless value is finite and > 0."""
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"bad-tolerance: {name}={value!r} must be finite and > 0")
+
+
 def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a real matrix.
 
@@ -251,8 +258,7 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
     one (or times 1 for a zero matrix) count as zero.  An empty matrix has the
     full space as its null space.
     """
-    if tol_rank <= 0:
-        raise ValueError("bad-tolerance: tol_rank must be positive")
+    check_tolerance("tol_rank", tol_rank)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"dim-mismatch: expected a 2-D matrix, got shape {a.shape}")

@@ -277,6 +277,18 @@ def test_tolerances_threaded_through():
     assert cert.certified_nonlocal
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda v: Tolerances(tol_rank=v),
+    lambda v: nullspace_real(np.eye(3), v),
+    lambda v: assemble_constraints(theorem1_set(3, 2), 0, tol_active=v),
+    lambda v: check_pairwise_orthogonality(theorem1_set(3, 2), tol=v),
+], ids=["Tolerances", "nullspace_real", "assemble_constraints", "check_pairwise_orthogonality"])
+def test_every_tolerance_must_be_finite_and_positive(call, value):
+    with pytest.raises(ValueError, match="bad-tolerance: .* must be finite and > 0"):
+        call(value)
+
+
 # ---------------------------------------------------------------------------
 # the shared pair-overlap table
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nlops
 from nlops import dump_state_set, product_basis, theorem2_set
 from nlops.cli import main
 from nlops.tensor_core import StateSet
@@ -169,3 +174,11 @@ def test_selftest_detects_misconfigured_rank_tolerance(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = pathlib.Path(nlops.__file__).resolve().parents[1]
+    code = "import sys, nlops.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"

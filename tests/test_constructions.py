@@ -1,11 +1,15 @@
 """Tests for the family generators and their documented layouts."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nlops import (
     ProductState,
+    StateSet,
     basis_vector,
     canonical_compare,
     check_pairwise_orthogonality,
@@ -17,6 +21,9 @@ from nlops import (
     theorem3_set,
     theorem4_set,
 )
+from nlops.constructions import _has_perfect_matching
+
+from sweeps import sweep_sets
 
 
 def test_phase_vector_examples():
@@ -185,6 +192,47 @@ def test_canonical_compare_scalar_equivalence():
 def test_canonical_compare_dim_mismatch():
     with pytest.raises(ValueError, match="dim-mismatch"):
         canonical_compare(theorem1_set(3, 2), theorem1_set(3, 3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_canonical_compare_ignores_order_and_scalars(data):
+    base = data.draw(st.sampled_from(sweep_sets()))
+    order = data.draw(st.permutations(range(len(base))))
+    scalars = data.draw(st.lists(
+        st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 2 * np.pi)),
+        min_size=len(base), max_size=len(base)))
+    moved = StateSet(base.dims, tuple(
+        base.states[i].scaled(r * np.exp(1j * phi)) for i, (r, phi) in zip(order, scalars)))
+    assert canonical_compare(base, moved)
+    assert canonical_compare(moved, base)
+
+
+def test_canonical_compare_needs_a_bijection():
+    s0, s1, s2 = theorem1_set(3, 2).states[:3]
+    dims = (2, 2, 2)
+    assert not canonical_compare(StateSet(dims, (s0, s1, s2)), StateSet(dims, (s0, s0, s2)))
+    # every state has a parallel partner on the other side, but not one each
+    assert not canonical_compare(StateSet(dims, (s0, s0, s1)), StateSet(dims, (s0, s1, s1)))
+
+
+def test_canonical_compare_empty_sets():
+    assert canonical_compare(StateSet((2, 2, 2), ()), StateSet((2, 2, 2), ()))
+
+
+def test_canonical_compare_many_copies_of_one_state():
+    copies = StateSet((2, 2, 2), theorem1_set(3, 2).states[:1] * 2000)
+    assert canonical_compare(copies, copies)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_matching_agrees_with_brute_force(m):
+    rng = np.random.default_rng(m)
+    perms = np.array(list(itertools.permutations(range(m))), dtype=int)
+    for density in np.linspace(0.1, 0.9, 300):
+        parallel = rng.random((m, m)) < density
+        expected = bool(parallel[np.arange(m), perms].all(axis=1).any())
+        assert _has_perfect_matching(parallel) == expected, parallel
 
 
 def test_product_basis():

@@ -163,12 +163,18 @@ def _signed_zero_set():
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_dump_matches_per_amplitude_reference(normalize):
-    for state_set in sweep_sets():
+    for state_set in (*sweep_sets(), _signed_zero_set()):
         text = dumps_state_set(state_set, normalize=normalize)
         assert text == _reference_dump(state_set, normalize), state_set.label
         assert dumps_state_set(loads_state_set(text)) == text, state_set.label
-    signed = _signed_zero_set()
-    assert dumps_state_set(signed, normalize) == _reference_dump(signed, normalize)
+
+
+@pytest.mark.parametrize("amplitude", ["[-0, 0]", "[0, -0]", "[-0 , 0]", "[0, -0\n]"])
+def test_load_keeps_the_sign_of_a_bare_negative_zero(amplitude):
+    text = ('{"format_version": "nlops-1", "dims": [2, 2], "label": "", '
+            f'"states": [[[[1, 0], {amplitude}], [[1, 0], [0, 0]]]]}}')
+    z = loads_state_set(text).states[0].factors[0][1]
+    assert z == 0 and np.signbit(z.real) != np.signbit(z.imag)
 
 
 def test_dump_keeps_both_spellings_of_zero():
