@@ -7,100 +7,17 @@ to the identity, i.e. that the set cannot be told apart by local operations
 and classical communication.
 """
 
-from .certifier import (
-    Certificate,
-    MAX_BRUTE_FORCE_DIM,
-    OrthogonalityReport,
-    PartyReport,
-    Tolerances,
-    assemble_constraints,
-    brute_force_constraints,
-    certify_nonlocal,
-    check_pairwise_orthogonality,
-    solution_space,
-)
-from .constructions import (
-    basis_vector,
-    canonical_compare,
-    phase_vector,
-    product_basis,
-    theorem1_set,
-    theorem2_set,
-    theorem3_set,
-    theorem4_set,
-)
-from .oracles import (
-    cramer_solve,
-    det_cofactor,
-    proof_determinants_nonzero,
-    roots_of_unity,
-    vandermonde_det,
-)
-from .serialize import (
-    FORMAT_VERSION,
-    dump_certificate,
-    dump_state_set,
-    dumps_certificate,
-    dumps_state_set,
-    load_state_set,
-    loads_state_set,
-)
-from .tensor_core import (
-    HermitianCoords,
-    ProductState,
-    StateSet,
-    coords_to_matrix,
-    hermitian_basis,
-    hermitian_basis_flat,
-    inner,
-    matrix_to_coords,
-    nullspace_real,
-    partial_inner_excluding,
-    product_inner,
-)
+from . import certifier, constructions, oracles, serialize, tensor_core
+from .certifier import *
+from .constructions import *
+from .oracles import *
+from .serialize import *
+from .tensor_core import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
-    "FORMAT_VERSION",
-    "HermitianCoords",
-    "MAX_BRUTE_FORCE_DIM",
-    "OrthogonalityReport",
-    "PartyReport",
-    "ProductState",
-    "StateSet",
-    "Tolerances",
-    "assemble_constraints",
-    "basis_vector",
-    "brute_force_constraints",
-    "canonical_compare",
-    "certify_nonlocal",
-    "check_pairwise_orthogonality",
-    "coords_to_matrix",
-    "cramer_solve",
-    "det_cofactor",
-    "dump_certificate",
-    "dump_state_set",
-    "dumps_certificate",
-    "dumps_state_set",
-    "hermitian_basis",
-    "hermitian_basis_flat",
-    "inner",
-    "load_state_set",
-    "loads_state_set",
-    "matrix_to_coords",
-    "nullspace_real",
-    "partial_inner_excluding",
-    "phase_vector",
-    "product_basis",
-    "product_inner",
-    "proof_determinants_nonzero",
-    "roots_of_unity",
-    "solution_space",
-    "theorem1_set",
-    "theorem2_set",
-    "theorem3_set",
-    "theorem4_set",
-    "vandermonde_det",
+    name
+    for module in (certifier, constructions, oracles, serialize, tensor_core)
+    for name in module.__all__
 ]

@@ -42,10 +42,14 @@ __all__ = [
     "solution_space",
     "certify_nonlocal",
     "MAX_BRUTE_FORCE_DIM",
+    "MAX_OVERLAP_ENTRIES",
 ]
 
 # Composite dimension above which the explicit full-vector oracle refuses to run.
 MAX_BRUTE_FORCE_DIM = 4096
+
+# Largest pair-overlap table, in n_parties * m(m-1)/2 complex entries (1 GiB).
+MAX_OVERLAP_ENTRIES = 2**26
 
 # A one-dimensional solution space counts as trivial only if its basis vector
 # is aligned with the identity direction up to this relative shortfall.
@@ -123,7 +127,11 @@ def _pair_overlaps(state_set: StateSet):
     and g[j, p] = <u_a|u_b> / (|u_a| |u_b|) at party j for pair p = (iu[p], jv[p]).
     Cached for the last set: its orthogonality check and every party's assembly.
     """
-    iu, jv = np.triu_indices(len(state_set), 1)
+    m, n = len(state_set), state_set.n_parties
+    if n * (m * (m - 1) // 2) > MAX_OVERLAP_ENTRIES:
+        raise ValueError(f"too-large: {m} states on {n} parties exceed "
+                         f"{MAX_OVERLAP_ENTRIES} pair overlaps")
+    iu, jv = np.triu_indices(m, 1)
     units = tuple(u / np.linalg.norm(u, axis=1)[:, None]
                   for u in map(state_set.party_vectors, range(state_set.n_parties)))
     g = np.empty((len(units), iu.size), dtype=np.complex128)
@@ -155,13 +163,14 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     _check_party(state_set, party)
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
+    basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
     iu, jv, units, g = _pair_overlaps(state_set)
     active = np.abs(g.prod(axis=0, where=np.arange(len(g))[:, None] != party)) > tol_active
     ia, jb = iu[active], jv[active]
     u = units[party]
     # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
     w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
-    values = w @ hermitian_basis_flat(d).T
+    values = w @ basis.T
     rows = np.empty((2 * ia.size, d * d))
     rows[0::2] = values.real
     rows[1::2] = values.imag
@@ -174,7 +183,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     Builds every state as a full vector of length prod(dims), applies each
     basis operator to the party's tensor factor, and keeps ALL unordered
     pairs with no activity filtering.  Refuses composite dimensions above
-    MAX_BRUTE_FORCE_DIM.
+    MAX_BRUTE_FORCE_DIM and local dimensions above MAX_LOCAL_DIM.
     """
     _check_party(state_set, party)
     total = prod(state_set.dims)
@@ -183,6 +192,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
             f"too-large: composite dimension {total} exceeds {MAX_BRUTE_FORCE_DIM}"
         )
     d = state_set.dims[party]
+    basis = hermitian_basis_flat(d)
     m = len(state_set)
     if m < 2:
         return np.zeros((0, d * d))
@@ -195,7 +205,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     c = np.einsum("air,bjr->abij", psi.conj(), psi)
     iu, jv = np.triu_indices(m, 1)
     w = c[iu, jv].reshape(iu.size, d * d)
-    values = w @ hermitian_basis_flat(d).T
+    values = w @ basis.T
     values /= (norms[iu] * norms[jv])[:, None]
     rows = np.empty((2 * iu.size, d * d))
     rows[0::2] = values.real

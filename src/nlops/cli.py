@@ -86,10 +86,10 @@ def cmd_certify(args) -> int:
     try:
         tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
         state_set = load_state_set(args.input)
+        cert = certify_nonlocal(state_set, tol)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cert = certify_nonlocal(state_set, tol)
 
     print(f"state set     : {cert.label or '(unlabeled)'}")
     print(f"dims          : {'x'.join(str(d) for d in cert.dims)}")
@@ -129,31 +129,46 @@ def _cross_residual(basis: np.ndarray, rows: np.ndarray) -> float:
     return float(np.max(np.abs(rows @ basis)))
 
 
+def _sweep_sets():
+    """Yield (state set, (passed, detail) of its count check or None), one set at a time."""
+    for n, d in HOMOGENEOUS_GRID:
+        t1 = theorem1_set(n, d)
+        yield t1, (len(t1) == 2 * n * (d - 1), f"{len(t1)} vs {2 * n * (d - 1)}")
+        t2 = theorem2_set(n, d)
+        yield t2, (len(t2) == n * (2 * d - 3) + 1, f"{len(t2)} vs {n * (2 * d - 3) + 1}")
+    for n, d in _RANK_STRESS_GRID:
+        yield theorem1_set(n, d), None
+    for dims in heterogeneous_dims(12, _SELFTEST_SEED):
+        t3 = theorem3_set(dims)
+        yield t3, (len(t3) == sum(2 * (d - 1) for d in dims), "")
+        t4 = theorem4_set(dims)
+        yield t4, (len(t4) == sum(2 * d - 3 for d in dims) + 1, "")
+
+
 def _selftest_checks(max_total_dim: int, tol: Tolerances):
-    """Yield (name, passed, detail) tuples for the whole self-test battery."""
-    checks = []
+    """Yield (name, passed, detail) tuples for the whole self-test battery.
 
-    def add(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-
+    The sweep is walked once: each set's checks run back to back, so the
+    set's overlap table is built once and shared by all of them.
+    """
     for d in range(2, 17):
         roots = roots_of_unity(d)
         sep = min(
             abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)
         )
         powmax = float(np.max(np.abs(roots**d - 1.0)))
-        add(f"roots-of-unity d={d}", sep > 1e-9 and powmax <= 1e-12,
-            f"min separation {sep:.3e}, max |w^d - 1| {powmax:.3e}")
+        yield (f"roots-of-unity d={d}", sep > 1e-9 and powmax <= 1e-12,
+               f"min separation {sep:.3e}, max |w^d - 1| {powmax:.3e}")
 
     for d in range(2, 9):
         val = abs(vandermonde_det(roots_of_unity(d)))
         target = d ** (d / 2)
-        add(f"vandermonde-roots-identity d={d}",
-            abs(val - target) <= 1e-9 * target,
-            f"|det| {val:.12g} vs d^(d/2) {target:.12g}")
+        yield (f"vandermonde-roots-identity d={d}",
+               abs(val - target) <= 1e-9 * target,
+               f"|det| {val:.12g} vs d^(d/2) {target:.12g}")
         dets = proof_determinants_nonzero(d)
-        add(f"leave-one-out-determinants d={d}", float(dets.min()) > 1e-8,
-            f"min |det| {dets.min():.3e}")
+        yield (f"leave-one-out-determinants d={d}", float(dets.min()) > 1e-8,
+               f"min |det| {dets.min():.3e}")
 
     rng = np.random.default_rng(_SELFTEST_SEED)
     worst = 0.0
@@ -166,41 +181,24 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         diff = np.max(np.abs(cramer_solve(a, b) - np.linalg.solve(a, b)))
         worst = max(worst, float(diff))
-    add("cramer-vs-dense-solver", worst <= 1e-9, f"max deviation {worst:.3e}")
+    yield "cramer-vs-dense-solver", worst <= 1e-9, f"max deviation {worst:.3e}"
 
-    sweep = []
-    for n, d in HOMOGENEOUS_GRID:
-        t1, t2 = theorem1_set(n, d), theorem2_set(n, d)
-        add(f"count {t1.label}", len(t1) == 2 * n * (d - 1),
-            f"{len(t1)} vs {2 * n * (d - 1)}")
-        add(f"count {t2.label}", len(t2) == n * (2 * d - 3) + 1,
-            f"{len(t2)} vs {n * (2 * d - 3) + 1}")
-        sweep.extend([t1, t2])
-    for n, d in _RANK_STRESS_GRID:
-        sweep.append(theorem1_set(n, d))
-    for dims in heterogeneous_dims(12, _SELFTEST_SEED):
-        t3, t4 = theorem3_set(dims), theorem4_set(dims)
-        add(f"count {t3.label}", len(t3) == sum(2 * (d - 1) for d in dims))
-        add(f"count {t4.label}", len(t4) == sum(2 * d - 3 for d in dims) + 1)
-        sweep.extend([t3, t4])
-
-    for state_set in sweep:
-        orth = check_pairwise_orthogonality(state_set, tol.tol_orth)
-        add(f"orthogonality {state_set.label}", orth.passed,
-            f"max residual {orth.max_residual:.3e}")
-
-    certifiable = [s for s in sweep if prod(s.dims) <= max_total_dim]
-    for state_set in certifiable:
-        cert = certify_nonlocal(state_set, tol)
+    for state_set, count in _sweep_sets():
+        if count is not None:
+            yield (f"count {state_set.label}", *count)
+        total = prod(state_set.dims)
+        # A certified set's orthogonality check is the one its certificate holds.
+        cert = certify_nonlocal(state_set, tol) if total <= max_total_dim else None
+        orth = cert.orthogonality if cert else check_pairwise_orthogonality(state_set, tol.tol_orth)
+        yield (f"orthogonality {state_set.label}", orth.passed,
+               f"max residual {orth.max_residual:.3e}")
+        if cert is None:
+            continue
         dims_found = [r.solution_dim for r in cert.parties]
-        add(f"certify {state_set.label}",
-            cert.verdict == "CERTIFIED_NONLOCAL",
-            f"verdict {cert.verdict}, solution dims {dims_found}")
-
-    oracle_sets = [s for s in certifiable if prod(s.dims) <= MAX_BRUTE_FORCE_DIM]
-    for state_set in oracle_sets:
-        ok = True
-        detail = ""
+        yield (f"certify {state_set.label}", cert.verdict == "CERTIFIED_NONLOCAL",
+               f"verdict {cert.verdict}, solution dims {dims_found}")
+        if total > MAX_BRUTE_FORCE_DIM:
+            continue
         for k in range(state_set.n_parties):
             fast = assemble_constraints(state_set, k, tol.tol_active)
             slow = brute_force_constraints(state_set, k)
@@ -208,12 +206,11 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
             ns = nullspace_real(slow, tol.tol_rank)
             res = max(_cross_residual(nf, slow), _cross_residual(ns, fast))
             if nf.shape[1] != ns.shape[1] or res > 1e-8:
-                ok = False
-                detail = (
-                    f"party {k}: dims {nf.shape[1]} vs {ns.shape[1]}, residual {res:.3e}"
-                )
+                yield (f"oracle-equivalence {state_set.label}", False,
+                       f"party {k}: dims {nf.shape[1]} vs {ns.shape[1]}, residual {res:.3e}")
                 break
-        add(f"oracle-equivalence {state_set.label}", ok, detail)
+        else:
+            yield f"oracle-equivalence {state_set.label}", True, ""
 
     for dims in [(2, 2), (2, 2, 2)]:
         basis_set = product_basis(dims)
@@ -224,11 +221,9 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
             nullspace_real(brute_force_constraints(basis_set, k), tol.tol_rank).shape[1]
             for k in range(len(dims))
         ]
-        add(f"negative-control {basis_set.label}",
-            cert.verdict == "NOT_CERTIFIED" and found == expected and oracle_dims == expected,
-            f"verdict {cert.verdict}, dims {found}, oracle {oracle_dims}")
-
-    return checks
+        yield (f"negative-control {basis_set.label}",
+               cert.verdict == "NOT_CERTIFIED" and found == expected and oracle_dims == expected,
+               f"verdict {cert.verdict}, dims {found}, oracle {oracle_dims}")
 
 
 def cmd_selftest(args) -> int:
@@ -237,14 +232,13 @@ def cmd_selftest(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checks = _selftest_checks(args.max_total_dim, tol)
-    failures = 0
-    for name, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
+    total = failures = 0
+    for name, ok, detail in _selftest_checks(args.max_total_dim, tol):
         suffix = f"  {detail}" if (detail and not ok) else ""
-        print(f"[{tag}] {name}{suffix}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}", flush=True)
+        total += 1
         failures += 0 if ok else 1
-    print(f"selftest: {len(checks) - failures}/{len(checks)} checks passed")
+    print(f"selftest: {total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 
 

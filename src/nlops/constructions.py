@@ -201,7 +201,14 @@ def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
         overlap *= va.conj() @ vb.T
         norm_a *= np.linalg.norm(va, axis=1)
         norm_b *= np.linalg.norm(vb, axis=1)
-    ov = np.abs(overlap) ** 2
-    full = np.outer(norm_a, norm_b) ** 2
-    parallel = np.abs(ov - full) <= tol * full
-    return _has_perfect_matching(parallel)
+    # |ov - full| <= tol * full, with ov = |overlap|^2 and full = (|a_i| |b_j|)^2,
+    # in place and after the complex overlap is freed, so few m x m arrays are alive.
+    ov = np.abs(overlap)
+    del overlap
+    ov **= 2
+    full = np.outer(norm_a, norm_b)
+    full **= 2
+    ov -= full
+    np.abs(ov, out=ov)
+    full *= tol
+    return _has_perfect_matching(ov <= full)

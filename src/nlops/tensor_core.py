@@ -27,7 +27,11 @@ __all__ = [
     "coords_to_matrix",
     "matrix_to_coords",
     "nullspace_real",
+    "MAX_LOCAL_DIM",
 ]
+
+# Largest local dimension with a Hermitian basis: 2 * 16 * d^4 bytes, 537 MB at 64.
+MAX_LOCAL_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +200,8 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
     """
     if d < 1:
         raise ValueError("bad-dimension: d must be >= 1")
+    if d > MAX_LOCAL_DIM:
+        raise ValueError(f"too-large: local dimension {d} exceeds {MAX_LOCAL_DIM}")
     mats = [np.eye(d, dtype=np.complex128) / np.sqrt(d)]
     for k in range(1, d):
         m = np.zeros((d, d), dtype=np.complex128)

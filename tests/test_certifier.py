@@ -1,8 +1,12 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from sweeps import sweep_sets
 
 from nlops import (
     HermitianCoords,
@@ -10,6 +14,7 @@ from nlops import (
     StateSet,
     Tolerances,
     assemble_constraints,
+    basis_vector,
     brute_force_constraints,
     certify_nonlocal,
     check_pairwise_orthogonality,
@@ -271,6 +276,48 @@ def test_homogeneous_sets_look_the_same_to_every_party(n, d):
         assert len(dims) == 1
 
 
+def _report(cert):
+    return cert.verdict, [(r.active_pairs, r.solution_dim, r.trivial) for r in cert.parties]
+
+
+@lru_cache(maxsize=None)
+def _sweep_report(state_set):
+    return _report(certify_nonlocal(state_set))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(sweep_sets()), st.integers(0, 2**32 - 1))
+def test_certificates_invariant_under_local_unitaries(base, seed):
+    rng = np.random.default_rng(seed)
+    unitaries = [
+        np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        for d in base.dims
+    ]
+    moved = StateSet(base.dims, tuple(
+        ProductState(tuple(u @ f for u, f in zip(unitaries, s.factors))) for s in base.states))
+    assert _report(certify_nonlocal(moved)) == _sweep_report(base)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_certificates_equivariant_under_party_permutations(data):
+    base = data.draw(st.sampled_from(sweep_sets()))
+    perm = data.draw(st.permutations(range(base.n_parties)))
+    moved = StateSet(tuple(base.dims[j] for j in perm), tuple(
+        ProductState(tuple(s.factors[j] for j in perm)) for s in base.states))
+    verdict, parties = _sweep_report(base)
+    assert _report(certify_nonlocal(moved)) == (verdict, [parties[j] for j in perm])
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_certificates_invariant_under_state_reordering(data):
+    base = data.draw(st.sampled_from(sweep_sets()))
+    order = data.draw(st.permutations(range(len(base))))
+    moved = StateSet(base.dims, tuple(base.states[i] for i in order))
+    assert _report(certify_nonlocal(moved)) == _sweep_report(base)
+
+
 def test_tolerances_threaded_through():
     cert = certify_nonlocal(theorem1_set(3, 2), Tolerances(tol_rank=1e-6))
     assert cert.tolerances.tol_rank == 1e-6
@@ -287,6 +334,27 @@ def test_tolerances_threaded_through():
 def test_every_tolerance_must_be_finite_and_positive(call, value):
     with pytest.raises(ValueError, match="bad-tolerance: .* must be finite and > 0"):
         call(value)
+
+
+def test_certify_refuses_a_too_large_local_dimension():
+    big = StateSet((65, 2, 2), tuple(
+        ProductState((basis_vector(65, j), basis_vector(2, 0), basis_vector(2, 0)))
+        for j in range(2)))
+    with pytest.raises(ValueError, match="too-large: local dimension 65 exceeds 64"):
+        certify_nonlocal(big)
+
+
+def test_brute_force_refuses_a_too_large_local_dimension():
+    # (2048, 2) passes the composite-dimension guard, but its basis would take about 560 TB.
+    one = StateSet((2048, 2), (ProductState((basis_vector(2048, 0), basis_vector(2, 0))),))
+    with pytest.raises(ValueError, match="too-large: local dimension 2048"):
+        brute_force_constraints(one, 0)
+
+
+def test_orthogonality_refuses_too_many_states():
+    copies = StateSet((2, 2), (ProductState((basis_vector(2, 0), basis_vector(2, 1))),) * 8200)
+    with pytest.raises(ValueError, match="too-large: 8200 states on 2 parties"):
+        check_pairwise_orthogonality(copies)
 
 
 # ---------------------------------------------------------------------------

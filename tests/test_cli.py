@@ -5,12 +5,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from itertools import groupby
 
 import pytest
 
 import nlops
-from nlops import dump_state_set, product_basis, theorem2_set
+from nlops import ProductState, basis_vector, dump_state_set, product_basis, theorem2_set
 from nlops.cli import main
+from nlops import certifier
 from nlops.tensor_core import StateSet
 
 
@@ -113,6 +116,18 @@ def test_certify_huge_integer_amplitude_exits_2_with_one_line_error(tmp_path, ca
     assert captured.err.startswith("error: malformed-file")
 
 
+def test_certify_too_large_local_dimension_exits_2_with_one_line_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    dump_state_set(StateSet((65, 2, 2), tuple(
+        ProductState((basis_vector(65, j), basis_vector(2, 0), basis_vector(2, 0)))
+        for j in range(2))), big)
+    assert main(["certify", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: too-large: local dimension 65")
+
+
 def test_certify_missing_file_exits_2(tmp_path):
     assert main(["certify", str(tmp_path / "missing.json")]) == 2
 
@@ -174,6 +189,54 @@ def test_selftest_detects_misconfigured_rank_tolerance(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+def _selftest_lines(capsys, *argv):
+    code = main(["selftest", *argv])
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary == f"selftest: {len(lines)}/{len(lines)} checks passed"
+    assert code == 0
+    return lines
+
+
+SWEEP_KINDS = ("count", "orthogonality", "certify", "oracle-equivalence")
+
+
+@pytest.mark.parametrize("argv, certified", [((), 60), (("--max-total-dim", "64"), 18)])
+def test_selftest_checks_per_kind(capsys, argv, certified):
+    lines = _selftest_lines(capsys, *argv)
+    kinds = Counter(line.split()[1] for line in lines)
+    assert kinds == {
+        "roots-of-unity": 15, "vandermonde-roots-identity": 7,
+        "leave-one-out-determinants": 7, "cramer-vs-dense-solver": 1,
+        "count": 64, "orthogonality": 66, "certify": certified,
+        "oracle-equivalence": certified, "negative-control": 2,
+    }
+    # each sweep set's checks are printed together, in a fixed order
+    sweep = [line.split(maxsplit=2)[1:] for line in lines if line.split()[1] in SWEEP_KINDS]
+    for (kind, label), (next_kind, next_label) in zip(sweep, sweep[1:]):
+        if next_label == label:
+            assert SWEEP_KINDS.index(kind) < SWEEP_KINDS.index(next_kind)
+    groups = [label for label, _ in groupby(label for _, label in sweep)]
+    assert len(groups) == len(set(groups)) == 66
+
+
+def test_selftest_reads_each_party_of_each_set_once(capsys, monkeypatch):
+    calls = Counter()
+    party_vectors = StateSet.party_vectors
+
+    def counting(self, party):
+        calls[self.label, party] += 1
+        return party_vectors(self, party)
+
+    monkeypatch.setattr(StateSet, "party_vectors", counting)
+    certifier._pair_overlaps.cache_clear()
+    lines = _selftest_lines(capsys, "--max-total-dim", "64")
+    labels = {line.split(maxsplit=2)[2] for line in lines
+              if line.split()[1] in ("orthogonality", "negative-control")}
+    assert len(labels) == 68
+    assert {label for label, _ in calls} == labels
+    assert set(calls.values()) == {1}
 
 
 def test_importing_the_cli_loads_no_scipy():
