@@ -18,7 +18,7 @@ filtering, and serves as the independent cross-check of the factorized path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -180,10 +180,11 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
 def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     """Constraint rows recomputed from explicit vectors in the composite space.
 
-    Builds every state as a full vector of length prod(dims), applies each
-    basis operator to the party's tensor factor, and keeps ALL unordered
-    pairs with no activity filtering.  Refuses composite dimensions above
-    MAX_BRUTE_FORCE_DIM and local dimensions above MAX_LOCAL_DIM.
+    Builds every state as a full vector of length prod(dims), takes the
+    overlaps of all pairs with the party's tensor factor left open in one
+    Gram product, applies each basis operator to that factor, and keeps ALL
+    unordered pairs with no activity filtering.  Refuses composite dimensions
+    above MAX_BRUTE_FORCE_DIM and local dimensions above MAX_LOCAL_DIM.
     """
     _check_party(state_set, party)
     total = prod(state_set.dims)
@@ -196,15 +197,17 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     m = len(state_set)
     if m < 2:
         return np.zeros((0, d * d))
-    full = [reduce(np.kron, s.factors) for s in state_set]
-    psi = np.stack(
-        [np.moveaxis(f.reshape(state_set.dims), party, 0).reshape(d, -1) for f in full]
-    )
-    norms = np.linalg.norm(psi.reshape(m, -1), axis=1)
-    # C[a,b,j,p] = <phi_a| (|j><p| on the party factor) |phi_b>
-    c = np.einsum("air,bjr->abij", psi.conj(), psi)
+    # Row a is state a's full vector, built party by party as reduce(np.kron, factors).
+    full = np.stack([s.factors[0] for s in state_set])
+    for j in range(1, state_set.n_parties):
+        local = np.stack([s.factors[j] for s in state_set])
+        full = (full[:, :, None] * local[:, None, :]).reshape(m, -1)
+    norms = np.linalg.norm(full, axis=1)
+    psi = np.moveaxis(full.reshape((m,) + state_set.dims), party + 1, 1).reshape(m * d, -1)
+    # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
+    c = (psi.conj() @ psi.T).reshape(m, d, m, d)
     iu, jv = np.triu_indices(m, 1)
-    w = c[iu, jv].reshape(iu.size, d * d)
+    w = c[iu, :, jv, :].reshape(iu.size, d * d)
     values = w @ basis.T
     values /= (norms[iu] * norms[jv])[:, None]
     rows = np.empty((2 * iu.size, d * d))

@@ -30,7 +30,7 @@ __all__ = [
     "MAX_LOCAL_DIM",
 ]
 
-# Largest local dimension with a Hermitian basis: 2 * 16 * d^4 bytes, 537 MB at 64.
+# Largest local dimension with a Hermitian basis: 16 * d^4 bytes, 268 MB at 64.
 MAX_LOCAL_DIM = 64
 
 
@@ -189,47 +189,40 @@ def partial_inner_excluding(a: ProductState, b: ProductState, party: int) -> com
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Hilbert-Schmidt-orthonormal Hermitian operator basis for C^d.
+def hermitian_basis_flat(d: int) -> np.ndarray:
+    """Hilbert-Schmidt-orthonormal Hermitian operator basis for C^d, one element per row.
 
+    Row a of the read-only (d^2, d^2) array is element a flattened row-major.
     Element 0 is I/sqrt(d).  Then come the d-1 traceless diagonal elements
     diag(1,..,1,-k,0,..)/sqrt(k(k+1)), the symmetric off-diagonal elements
     (|j><k| + |k><j|)/sqrt(2), and the antisymmetric ones
     (-i|j><k| + i|k><j|)/sqrt(2), each in lexicographic (j, k) order.
-    Returned arrays are read-only.
     """
     if d < 1:
         raise ValueError("bad-dimension: d must be >= 1")
     if d > MAX_LOCAL_DIM:
         raise ValueError(f"too-large: local dimension {d} exceeds {MAX_LOCAL_DIM}")
-    mats = [np.eye(d, dtype=np.complex128) / np.sqrt(d)]
+    mats = np.zeros((d * d, d, d), dtype=np.complex128)
+    diag = np.arange(d)
+    mats[0, diag, diag] = 1.0 / np.sqrt(d)
     for k in range(1, d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[np.arange(k), np.arange(k)] = 1.0
-        m[k, k] = -float(k)
-        mats.append(m / np.sqrt(k * (k + 1)))
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[j, k] = -1.0j / np.sqrt(2)
-            m[k, j] = 1.0j / np.sqrt(2)
-            mats.append(m)
-    for m in mats:
-        m.flags.writeable = False
-    return tuple(mats)
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis_flat(d: int) -> np.ndarray:
-    """hermitian_basis(d) with each element flattened into a row of a (d^2, d^2) array."""
-    flat = np.stack([m.reshape(-1) for m in hermitian_basis(d)])
+        inv = 1.0 / np.sqrt(k * (k + 1))
+        mats[k, diag[:k], diag[:k]] = inv
+        mats[k, k, k] = -k * inv
+    j, k = np.triu_indices(d, 1)
+    sym = np.arange(d, d + j.size)
+    anti = sym + j.size
+    mats[sym, j, k] = mats[sym, k, j] = 1.0 / np.sqrt(2)
+    mats[anti, j, k] = -1.0j / np.sqrt(2)
+    mats[anti, k, j] = 1.0j / np.sqrt(2)
+    flat = mats.reshape(d * d, d * d)
     flat.flags.writeable = False
     return flat
+
+
+def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """hermitian_basis_flat(d) as d x d matrices: read-only views of its rows."""
+    return tuple(row.reshape(d, d) for row in hermitian_basis_flat(d))
 
 
 def coords_to_matrix(h: HermitianCoords) -> np.ndarray:
@@ -262,7 +255,8 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
 
     Rank is decided by SVD: singular values below tol_rank times the largest
     one (or times 1 for a zero matrix) count as zero.  An empty matrix has the
-    full space as its null space.
+    full space as its null space.  The SVD is thin: beyond the cols x cols vt,
+    memory is O(rows * cols), since a tall matrix gets no square U.
     """
     check_tolerance("tol_rank", tol_rank)
     a = np.asarray(a, dtype=np.float64)
@@ -273,7 +267,8 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
         raise ValueError("dim-mismatch: need at least one column")
     if rows == 0:
         return np.eye(cols)
-    _, s, vt = np.linalg.svd(a)
+    # A wide matrix needs the full vt, whose last rows span its null space.
+    _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
     smax = float(s[0])
     if smax == 0.0:
         rank = 0

@@ -1,11 +1,11 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from sweeps import sweep_sets
 
 from nlops import (
@@ -20,6 +20,7 @@ from nlops import (
     check_pairwise_orthogonality,
     coords_to_matrix,
     hermitian_basis,
+    hermitian_basis_flat,
     nullspace_real,
     product_basis,
     solution_space,
@@ -181,6 +182,61 @@ def test_brute_force_refuses_large_composites():
     wide = theorem3_set((2,) * 13)  # composite dimension 8192
     with pytest.raises(ValueError, match="too-large"):
         brute_force_constraints(wide, 0)
+
+
+def _per_pair_kron_rows(state_set, party):
+    """The oracle's rows rebuilt state by state and pair by pair, with np.kron."""
+    d = state_set.dims[party]
+    basis = hermitian_basis_flat(d)
+    psi = [np.moveaxis(reduce(np.kron, s.factors).reshape(state_set.dims), party, 0).reshape(d, -1)
+           for s in state_set]
+    rows = []
+    for a in range(len(psi)):
+        for b in range(a + 1, len(psi)):
+            vals = basis @ (psi[a].conj() @ psi[b].T).reshape(-1)
+            vals /= np.linalg.norm(psi[a]) * np.linalg.norm(psi[b])
+            rows += [vals.real, vals.imag]
+    return np.array(rows).reshape(-1, d * d)
+
+
+def _rescaled(base, seed):
+    """Each state with every local vector multiplied by its own complex scalar."""
+    rng = np.random.default_rng(seed)
+    return StateSet(base.dims, tuple(
+        ProductState(tuple(f * (10.0 ** rng.uniform(-2, 2)) * np.exp(2j * np.pi * rng.uniform())
+                           for f in s.factors))
+        for s in base.states), label="rescaled")
+
+
+_ORACLE_SETS = [theorem1_set(3, 3), theorem4_set((2, 3, 4)), product_basis((2, 2, 2)),
+                _rescaled(theorem3_set((2, 3, 4)), 43)]
+
+
+@pytest.mark.parametrize("state_set", _ORACLE_SETS, ids=lambda s: s.label)
+def test_brute_force_matches_per_pair_kron_reference(state_set):
+    n, m = state_set.n_parties, len(state_set)
+    for k in (0, n // 2, n - 1):
+        got = brute_force_constraints(state_set, k)
+        want = _per_pair_kron_rows(state_set, k)
+        assert got.shape == want.shape == (m * (m - 1), state_set.dims[k] ** 2)
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for size in (0, 1):
+        small = StateSet(state_set.dims, state_set.states[:size])
+        for k in (0, n // 2, n - 1):
+            assert brute_force_constraints(small, k).shape == (0, state_set.dims[k] ** 2)
+
+
+def test_brute_force_does_not_use_the_fast_path(monkeypatch):
+    state_set = theorem4_set((2, 3, 4))
+    want = [brute_force_constraints(state_set, k) for k in range(state_set.n_parties)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not read the fast path's tables")
+
+    monkeypatch.setattr(certifier, "_pair_overlaps", refuse)
+    monkeypatch.setattr(StateSet, "party_vectors", refuse)
+    for k, rows in enumerate(want):
+        assert_array_equal(brute_force_constraints(state_set, k), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tests for inner products, the Hermitian basis, and the null-space solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nlops import (
     HermitianCoords,
@@ -184,6 +186,16 @@ def test_hermitian_basis_elements_are_hermitian(d):
         assert_allclose(b, b.conj().T, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_hermitian_basis_matrices_are_read_only_views_of_the_flat_basis(d):
+    flat = hermitian_basis_flat(d)
+    assert not flat.flags.writeable
+    for i, b in enumerate(hermitian_basis(d)):
+        assert np.shares_memory(b, flat)
+        assert not b.flags.writeable
+        assert_array_equal(b.reshape(-1), flat[i])
+
+
 def test_coords_to_matrix_identity_example():
     m = coords_to_matrix(HermitianCoords(2, [np.sqrt(2), 0, 0, 0]))
     assert_allclose(m, np.eye(2), atol=1e-15)
@@ -249,3 +261,25 @@ def test_nullspace_rank_plus_nullity_and_residuals():
             assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
             smax = np.linalg.norm(a, 2)
             assert np.max(np.abs(a @ basis)) <= 10 * tol * max(smax, 1.0)
+
+
+def test_nullspace_tall_matrix_allocates_no_square_u():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3000, 5)) @ rng.standard_normal((5, 9))
+    tracemalloc.start()
+    try:
+        basis = nullspace_real(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a full 3000 x 3000 U alone takes 72 MB
+    assert basis.shape == (9, 9 - np.linalg.matrix_rank(a))
+    assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    assert np.max(np.abs(a @ basis)) <= 1e-9 * np.linalg.norm(a, 2)
+
+    # A wide matrix still gets the full vt that holds its null space.
+    a = rng.standard_normal((3, 9))
+    basis = nullspace_real(a)
+    assert basis.shape == (9, 6)
+    assert_allclose(basis.T @ basis, np.eye(6), atol=1e-12)
+    assert np.max(np.abs(a @ basis)) <= 1e-12

@@ -1,0 +1,113 @@
+"""Fixed-grid timings of one nlops checkout, printed as one JSON object.
+
+    python3 tools/bench_grid.py                      # the checkout this file is in
+    python3 tools/bench_grid.py --src OTHER/src      # another checkout's source
+
+It times ``certify_nonlocal`` on the ``theorem1_set`` grid (best of
+REPEAT runs; a case stops repeating once it has used CASE_BUDGET_S seconds),
+``nlops selftest`` end to end in-process (best of REPEAT),
+and the time spent inside ``nullspace_real`` and ``brute_force_constraints``
+during one more selftest.  Both functions call no other nlops function that
+does real work, so that time is their self time.  Every certificate's verdict
+and per-party ``(solution_dim, trivial, active_pairs)`` go into the record,
+so two records can be checked for equal results.  BLAS runs on one thread,
+as in perfbench, set before numpy is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+GRID = [(6, 6), (40, 4), (8, 16), (20, 16), (4, 32)]
+REPEAT = 3
+CASE_BUDGET_S = 120.0
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _timed(func, totals, key):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            totals[key] += time.perf_counter() - start
+    return wrapper
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = parser.parse_args()
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path.insert(0, args.src)
+
+    import numpy as np
+    from nlops import certifier, cli, theorem1_set
+
+    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.src,
+                            capture_output=True, text=True).stdout.strip()
+    record = {
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **{lib: f"{dep['name']} {dep['version']}"
+           for lib, dep in np.show_config(mode="dicts")["Build Dependencies"].items()},
+        "blas_threads": 1,
+        "cpus": os.cpu_count(),
+        "certify": [],
+    }
+    for n, d in GRID:
+        state_set = theorem1_set(n, d)
+        times = []
+        while len(times) < REPEAT and sum(times) < CASE_BUDGET_S:
+            start = time.perf_counter()
+            cert = certifier.certify_nonlocal(state_set)
+            times.append(time.perf_counter() - start)
+        record["certify"].append({
+            "case": f"theorem1_set({n}, {d})", "m": len(state_set), "best_s": min(times),
+            "runs": len(times), "verdict": cert.verdict,
+            "parties": [[p.solution_dim, p.trivial, p.active_pairs] for p in cert.parties],
+        })
+
+    def selftest():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["selftest"])
+        return code, out.getvalue().splitlines()[-1]
+
+    walls = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        code, summary = selftest()
+        walls.append(time.perf_counter() - start)
+    totals = {"nullspace_real_s": 0.0, "brute_force_constraints_s": 0.0}
+    patched = [
+        (cli, "nullspace_real", "nullspace_real_s"),
+        (certifier, "nullspace_real", "nullspace_real_s"),
+        (cli, "brute_force_constraints", "brute_force_constraints_s"),
+    ]
+    originals = [getattr(mod, name) for mod, name, _ in patched]
+    for mod, name, key in patched:
+        setattr(mod, name, _timed(getattr(mod, name), totals, key))
+    try:
+        selftest()
+    finally:
+        for (mod, name, _), func in zip(patched, originals):
+            setattr(mod, name, func)
+    record["selftest"] = {"best_wall_s": min(walls), "runs": len(walls), "exit": code,
+                          "summary": summary, **totals}
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
