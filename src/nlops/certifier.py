@@ -8,7 +8,8 @@ operators form a real linear space that always contains the identity.  A set
 is certified nonlocal when, for every party, that space is exactly the span
 of the identity: no party can learn anything from any orthogonality-
 preserving measurement.  Both checks read one table per state set, built
-once: the normalized local overlap of every pair of states at every party.
+once: for every pair of states, the magnitude of its normalized overlap over
+all parties but one, for each party, and over all parties.
 
 brute_force_constraints recomputes the same constraint rows from explicit
 full vectors in the composite space, over all pairs and with no activity
@@ -48,7 +49,9 @@ __all__ = [
 # Composite dimension above which the explicit full-vector oracle refuses to run.
 MAX_BRUTE_FORCE_DIM = 4096
 
-# Largest pair-overlap table, in n_parties * m(m-1)/2 complex entries (1 GiB).
+# Most pair-overlap entries one array may hold (1 GiB at 16 bytes each):
+# n_parties * m(m-1)/2 for the real overlap table and its build rows together,
+# which generation checks too, and m(m-1)/2 * d^2 for each per-pair oracle array.
 MAX_OVERLAP_ENTRIES = 2**26
 
 # A one-dimensional solution space counts as trivial only if its basis vector
@@ -119,35 +122,48 @@ def _check_party(state_set: StateSet, party: int) -> None:
         raise ValueError(f"bad-party: party {party} out of range")
 
 
-@lru_cache(maxsize=1)
-def _pair_overlaps(state_set: StateSet):
-    """One read-only table per state set: every pair's normalized local overlaps.
-
-    Returns (iu, jv, units, g): the pairs a < b, each party's unit local vectors,
-    and g[j, p] = <u_a|u_b> / (|u_a| |u_b|) at party j for pair p = (iu[p], jv[p]).
-    Cached for the last set: its orthogonality check and every party's assembly.
-    """
-    m, n = len(state_set), state_set.n_parties
+def _check_pair_count(m: int, n: int) -> None:
+    """Refuse m states on n parties whose overlap table would pass MAX_OVERLAP_ENTRIES."""
     if n * (m * (m - 1) // 2) > MAX_OVERLAP_ENTRIES:
         raise ValueError(f"too-large: {m} states on {n} parties exceed "
                          f"{MAX_OVERLAP_ENTRIES} pair overlaps")
+
+
+@lru_cache(maxsize=1)
+def _pair_overlaps(state_set: StateSet):
+    """One read-only table per state set: what each pair's overlaps decide.
+
+    Returns (iu, jv, units, others): the pairs a < b, each party's unit local
+    vectors, and for pair p = (iu[p], jv[p]) the products of the normalized
+    magnitudes |<u_a|u_b>|, others[j, p] over every party except j and
+    others[n, p] over all n parties (the pair's orthogonality residual).
+    Cached for the last set: its orthogonality check and every party's assembly.
+    """
+    m, n = len(state_set), state_set.n_parties
+    _check_pair_count(m, n)
     iu, jv = np.triu_indices(m, 1)
     units = tuple(u / np.linalg.norm(u, axis=1)[:, None]
-                  for u in map(state_set.party_vectors, range(state_set.n_parties)))
-    g = np.empty((len(units), iu.size), dtype=np.complex128)
+                  for u in map(state_set.party_vectors, range(n)))
+    mags = np.empty((n, iu.size))
     for j, u in enumerate(units):
-        g[j] = (u.conj() @ u.T)[iu, jv]
-    for a in (iu, jv, g, *units):
+        np.abs((u.conj() @ u.T)[iu, jv], out=mags[j])
+    others = np.empty((n + 1, iu.size))
+    others[0] = 1.0
+    np.cumprod(mags, axis=0, out=others[1:])  # others[j]: parties before j
+    for j in range(n - 1, 0, -1):  # mags[j]: parties from j on, in place
+        others[j - 1] *= mags[j]
+        mags[j - 1] *= mags[j]
+    for a in (iu, jv, others, *units):
         a.flags.writeable = False
-    return iu, jv, units, g
+    return iu, jv, units, others
 
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:
     """Relative overlap residual for every unordered pair; pass iff all are <= tol."""
     check_tolerance("tol", tol)
-    iu, jv, _, g = _pair_overlaps(state_set)
+    iu, jv, _, others = _pair_overlaps(state_set)
     residuals = np.zeros((len(state_set),) * 2)
-    residuals[iu, jv] = residuals[jv, iu] = np.abs(g.prod(axis=0))
+    residuals[iu, jv] = residuals[jv, iu] = others[-1]
     max_residual = float(residuals.max(initial=0.0))
     return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
 
@@ -164,8 +180,8 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
-    iu, jv, units, g = _pair_overlaps(state_set)
-    active = np.abs(g.prod(axis=0, where=np.arange(len(g))[:, None] != party)) > tol_active
+    iu, jv, units, others = _pair_overlaps(state_set)
+    active = others[party] > tol_active
     ia, jb = iu[active], jv[active]
     u = units[party]
     # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
@@ -184,7 +200,8 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     overlaps of all pairs with the party's tensor factor left open in one
     Gram product, applies each basis operator to that factor, and keeps ALL
     unordered pairs with no activity filtering.  Refuses composite dimensions
-    above MAX_BRUTE_FORCE_DIM and local dimensions above MAX_LOCAL_DIM.
+    above MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more
+    than MAX_OVERLAP_ENTRIES entries m(m-1)/2 * d^2 in each per-pair array.
     """
     _check_party(state_set, party)
     total = prod(state_set.dims)
@@ -195,6 +212,9 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)
     m = len(state_set)
+    if m * (m - 1) // 2 * d * d > MAX_OVERLAP_ENTRIES:
+        raise ValueError(f"too-large: {m} states of local dimension {d} exceed "
+                         f"{MAX_OVERLAP_ENTRIES} pair-overlap entries")
     if m < 2:
         return np.zeros((0, d * d))
     # Row a is state a's full vector, built party by party as reduce(np.kron, factors).
@@ -228,32 +248,21 @@ def solution_space(
     return [HermitianCoords(d, basis[:, i]) for i in range(basis.shape[1])]
 
 
-def _witness_coords(basis: np.ndarray) -> np.ndarray | None:
-    """Largest solution component orthogonal to the identity direction, unit norm."""
-    if basis.shape[1] == 0:
-        return None
-    off = basis.copy()
-    off[0, :] = 0.0
-    lengths = np.linalg.norm(off, axis=0)
-    best = int(np.argmax(lengths))
-    if lengths[best] <= 1e-14:
-        return None
-    return off[:, best] / lengths[best]
-
-
 def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyReport:
     rows = assemble_constraints(state_set, party, tol.tol_active)
     basis = nullspace_real(rows, tol.tol_rank)
     dim = basis.shape[1]
-    trivial = False
-    if dim == 1:
-        v = basis[:, 0]
-        trivial = bool(v[0] ** 2 >= (1.0 - IDENTITY_ALIGNMENT_EPS) * float(v @ v))
+    # Each solution's component orthogonal to the identity direction.
+    off = basis.copy()
+    off[0] = 0.0
+    lengths = np.linalg.norm(off, axis=0)
+    trivial = dim == 1 and bool(
+        lengths[0] ** 2 <= IDENTITY_ALIGNMENT_EPS * float(basis[:, 0] @ basis[:, 0]))
     witness = None
-    if not trivial:
-        w = _witness_coords(basis)
-        if w is not None:
-            witness = HermitianCoords(state_set.dims[party], w)
+    if not trivial and dim:
+        best = int(np.argmax(lengths))
+        if lengths[best] > 1e-14:
+            witness = HermitianCoords(state_set.dims[party], off[:, best] / lengths[best])
     return PartyReport(
         party=party,
         active_pairs=rows.shape[0] // 2,

@@ -21,9 +21,11 @@ requires n >= 3.
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 import numpy as np
 
+from .certifier import _check_pair_count
 from .tensor_core import ProductState, StateSet
 
 __all__ = [
@@ -89,6 +91,7 @@ def _cyclic_family(dims: tuple[int, ...], stopper: bool, label: str) -> StateSet
     """Block A families 0..n-1 (t ascending, from 1 with a stopper), Block B
     families 0..n-1 (q ascending), then the all-ones stopper if asked for."""
     n = len(dims)
+    _check_pair_count(sum(2 * d - 2 - stopper for d in dims) + stopper, n)
     zeros = tuple(basis_vector(d, 0) for d in dims)
     states = [_cyclic_state(zeros, i, t, dims[(i + 1) % n] - 1)
               for i in range(n) for t in range(int(stopper), dims[i])]
@@ -137,6 +140,7 @@ def product_basis(dims) -> StateSet:
     for certification.
     """
     dims = tuple(int(d) for d in dims)
+    _check_pair_count(prod(dims), len(dims))
     bases = [[basis_vector(d, j) for j in range(d)] for d in dims]
     states = tuple(ProductState(locs) for locs in itertools.product(*bases))
     return StateSet(dims, states, label=f"product-basis dims={_dims_label(dims)}")

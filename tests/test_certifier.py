@@ -22,7 +22,9 @@ from nlops import (
     hermitian_basis,
     hermitian_basis_flat,
     nullspace_real,
+    partial_inner_excluding,
     product_basis,
+    product_inner,
     solution_space,
     theorem1_set,
     theorem2_set,
@@ -182,6 +184,14 @@ def test_brute_force_refuses_large_composites():
     wide = theorem3_set((2,) * 13)  # composite dimension 8192
     with pytest.raises(ValueError, match="too-large"):
         brute_force_constraints(wide, 0)
+
+
+def test_brute_force_refuses_too_many_states():
+    # Within the overlap-table bound, but each per-pair oracle array would hold
+    # 5800 * 5799 / 2 * 2**2 entries, more than MAX_OVERLAP_ENTRIES.
+    copies = StateSet((2, 2), (ProductState((basis_vector(2, 0), basis_vector(2, 1))),) * 5800)
+    with pytest.raises(ValueError, match="too-large: 5800 states of local dimension 2"):
+        brute_force_constraints(copies, 0)
 
 
 def _per_pair_kron_rows(state_set, party):
@@ -428,6 +438,41 @@ def test_certificate_reads_each_party_once(monkeypatch):
     monkeypatch.setattr(StateSet, "party_vectors", counting)
     certify_nonlocal(theorem1_set(6, 3))
     assert sorted(calls) == list(range(6))
+
+
+def _norm_without(state, party):
+    return state.norm / np.linalg.norm(state.factors[party])
+
+
+def _with_duplicate(s):
+    return StateSet(s.dims, s.states + s.states[:1], label="dup")
+
+
+@pytest.mark.parametrize(
+    "state_set",
+    [theorem1_set(6, 3), theorem4_set((3, 2, 4, 5, 4)), theorem4_set((2, 3, 4)),
+     product_basis((2, 2, 2)), _with_duplicate(theorem2_set(3, 2))],
+    ids=lambda s: s.label,
+)
+def test_assembly_matches_scalar_activity_and_residuals(state_set):
+    tol = Tolerances()
+    states, n = state_set.states, state_set.n_parties
+    pairs = [(a, b) for a in range(len(states)) for b in range(a + 1, len(states))]
+    residuals = check_pairwise_orthogonality(state_set, tol.tol_orth).residuals
+    for a, b in pairs:
+        want = abs(product_inner(states[a], states[b])) / (states[a].norm * states[b].norm)
+        assert abs(residuals[a, b] - want) <= 1e-15
+        assert residuals[b, a] == residuals[a, b]
+    for k in (0, n // 2, n - 1):
+        active = [(a, b) for a, b in pairs
+                  if abs(partial_inner_excluding(states[a], states[b], k))
+                  / (_norm_without(states[a], k) * _norm_without(states[b], k)) > tol.tol_active]
+        d = state_set.dims[k]
+        want = np.concatenate([np.zeros((0, d * d))] + [
+            _constraint_rows(states[a].factors[k], states[b].factors[k]) for a, b in active])
+        got = assemble_constraints(state_set, k, tol.tol_active)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
 def test_overlap_table_is_not_shared_between_sets():

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -52,6 +53,26 @@ def test_generate_rejects_bad_dims_string(tmp_path, capsys):
     code = main(["generate", "--theorem", "3", "--dims", "2,x,2",
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("size", [["--theorem", "1", "--n", "3", "--d", "3000"],
+                                  ["--theorem", "3", "--dims", "2,2,100000"]])
+def test_generate_refuses_a_set_too_large_to_certify_before_building_it(tmp_path, size):
+    # 17,994 and 200,002 states: building either would take several GB, past the cap.
+    out = tmp_path / "big.json"
+    src = pathlib.Path(nlops.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "nlops", "generate", *size, "--out", str(out)],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space,
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: too-large: ")
+    assert not out.exists()
 
 
 def test_generate_unwritable_path(capsys):

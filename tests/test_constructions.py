@@ -235,6 +235,11 @@ def test_matching_agrees_with_brute_force(m):
         assert _has_perfect_matching(parallel) == expected, parallel
 
 
+def test_product_basis_refuses_a_set_too_large_to_certify():
+    with pytest.raises(ValueError, match="too-large: 8192 states on 13 parties"):
+        product_basis((2,) * 13)
+
+
 def test_product_basis():
     pb = product_basis((2, 3))
     assert len(pb) == 6
