@@ -49,9 +49,13 @@ __all__ = [
 # Composite dimension above which the explicit full-vector oracle refuses to run.
 MAX_BRUTE_FORCE_DIM = 4096
 
-# Most pair-overlap entries one array may hold (1 GiB at 16 bytes each):
-# n_parties * m(m-1)/2 for the real overlap table and its build rows together,
-# which generation checks too, and m(m-1)/2 * d^2 for each per-pair oracle array.
+# Most pair-overlap entries a set's table may have, n_parties * m(m-1)/2, which
+# generation checks too: the real table and its build rows take 16 bytes per
+# entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
+# pair indices, the gathered codes and the dense m x m residuals come on top,
+# so the orthogonality check peaks at about 27 bytes per entry (2000 copies of
+# one (2, 2) state: 4M entries, max RSS +108 MB).  The same bound caps the
+# m(m-1)/2 * d^2 entries of each per-pair oracle array.
 MAX_OVERLAP_ENTRIES = 2**26
 
 # A one-dimensional solution space counts as trivial only if its basis vector
@@ -88,10 +92,16 @@ class OrthogonalityReport:
 
 @dataclass(frozen=True, eq=False)
 class PartyReport:
-    """Per-party outcome: size of the admissible-operator space and triviality."""
+    """Per-party outcome: size of the admissible-operator space and triviality.
+
+    active_pairs counts the pairs of states that constrain the party;
+    distinct_rows counts the row pairs handed to rank, one per distinct
+    unordered pair of local vectors among them.
+    """
 
     party: int
     active_pairs: int
+    distinct_rows: int
     solution_dim: int
     trivial: bool
     witness: HermitianCoords | None = None
@@ -133,20 +143,23 @@ def _check_pair_count(m: int, n: int) -> None:
 def _pair_overlaps(state_set: StateSet):
     """One read-only table per state set: what each pair's overlaps decide.
 
-    Returns (iu, jv, units, others): the pairs a < b, each party's unit local
-    vectors, and for pair p = (iu[p], jv[p]) the products of the normalized
-    magnitudes |<u_a|u_b>|, others[j, p] over every party except j and
-    others[n, p] over all n parties (the pair's orthogonality residual).
+    Returns (iu, jv, units, others): the pairs a < b, each party's table of
+    distinct local vectors normalized, and for pair p = (iu[p], jv[p]) the
+    products of the normalized magnitudes |<u_a|u_b>|, others[j, p] over
+    every party except j and others[n, p] over all n parties (the pair's
+    orthogonality residual).  Each party's magnitudes come from one Gram
+    product of its k distinct vectors, gathered for every pair by index.
     Cached for the last set: its orthogonality check and every party's assembly.
     """
     m, n = len(state_set), state_set.n_parties
     _check_pair_count(m, n)
     iu, jv = np.triu_indices(m, 1)
-    units = tuple(u / np.linalg.norm(u, axis=1)[:, None]
-                  for u in map(state_set.party_vectors, range(n)))
+    units = tuple(v / np.linalg.norm(v, axis=1)[:, None] for v in state_set.vectors)
     mags = np.empty((n, iu.size))
     for j, u in enumerate(units):
-        np.abs((u.conj() @ u.T)[iu, jv], out=mags[j])
+        column = state_set.index[:, j]
+        gram = np.abs(u.conj() @ u.T).ravel()
+        np.take(gram, column[iu] * len(u) + column[jv], out=mags[j])
     others = np.empty((n + 1, iu.size))
     others[0] = 1.0
     np.cumprod(mags, axis=0, out=others[1:])  # others[j]: parties before j
@@ -168,26 +181,46 @@ def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> Ort
     return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
 
 
+def _active(state_set: StateSet, party: int, tol_active: float) -> np.ndarray:
+    """Mask over the pairs a < b: those whose normalized overlap over the
+    other parties exceeds tol_active, so that they constrain the party."""
+    others = _pair_overlaps(state_set)[3]
+    return others[party] > tol_active
+
+
 def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e-10) -> np.ndarray:
     """Real constraint matrix on the party's Hermitian coordinates.
 
-    Each unordered pair (a, b) whose normalized overlap product over the
-    other parties exceeds tol_active contributes two rows, the real and
-    imaginary parts of the functional x -> <u_a|E(x)|u_b> on the party's
-    normalized local vectors.  Inactive pairs contribute nothing.
+    A pair (a, b) of states constrains the party when its normalized overlap
+    product over the other parties exceeds tol_active.  Its constraint is the
+    functional x -> <u_a|E(x)|u_b> on the party's normalized local vectors,
+    which depends only on which two distinct local vectors u_a and u_b are.
+    So each distinct unordered pair of local vectors held by an active pair
+    contributes two rows, the real and imaginary parts of the functional of
+    its first active pair: the (b, a) functional is the conjugate of the
+    (a, b) one and spans the same rows.  The two rows are scaled by the square
+    root of the number of active pairs that hold the same two vectors, so the
+    rows have the Gram matrix, and so the singular values and the rank at any
+    tolerance, of one row pair per active pair.  Inactive pairs contribute
+    nothing.
     """
     _check_party(state_set, party)
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
-    iu, jv, units, others = _pair_overlaps(state_set)
-    active = others[party] > tol_active
-    ia, jb = iu[active], jv[active]
-    u = units[party]
-    # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
-    w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
+    iu, jv, units, _ = _pair_overlaps(state_set)
+    active = _active(state_set, party, tol_active)
+    column, u = state_set.index[:, party], units[party]
+    p, q = column[iu[active]], column[jv[active]]
+    _, first, counts = np.unique(np.minimum(p, q) * len(u) + np.maximum(p, q),
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first)
+    p, q = p[first[order]], q[first[order]]
+    # <u_p|B_x|u_q> = sum_{j,r} B_x[j,r] * conj(u_p[j]) u_q[r]
+    w = (u[p].conj()[:, :, None] * u[q][:, None, :]).reshape(p.size, d * d)
+    w *= np.sqrt(counts[order])[:, None]
     values = w @ basis.T
-    rows = np.empty((2 * ia.size, d * d))
+    rows = np.empty((2 * p.size, d * d))
     rows[0::2] = values.real
     rows[1::2] = values.imag
     return rows
@@ -265,7 +298,8 @@ def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyRepo
             witness = HermitianCoords(state_set.dims[party], off[:, best] / lengths[best])
     return PartyReport(
         party=party,
-        active_pairs=rows.shape[0] // 2,
+        active_pairs=int(np.count_nonzero(_active(state_set, party, tol.tol_active))),
+        distinct_rows=rows.shape[0] // 2,
         solution_dim=dim,
         trivial=trivial,
         witness=witness,

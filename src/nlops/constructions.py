@@ -20,13 +20,12 @@ requires n >= 3.
 
 from __future__ import annotations
 
-import itertools
 from math import prod
 
 import numpy as np
 
 from .certifier import _check_pair_count
-from .tensor_core import ProductState, StateSet
+from .tensor_core import StateSet, _checked_dims
 
 __all__ = [
     "phase_vector",
@@ -74,32 +73,40 @@ def _validated_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def _cyclic_state(zeros: tuple[np.ndarray, ...], party: int, t: int, level: int) -> ProductState:
-    """Phase t on `party`, basis `level` on the next party, zeros[j] = |0> elsewhere."""
-    partner = (party + 1) % len(zeros)
-    locs = list(zeros)
-    locs[party] = phase_vector(zeros[party].size, t)
-    locs[partner] = basis_vector(zeros[partner].size, level)
-    return ProductState(tuple(locs))
-
-
 def _dims_label(dims) -> str:
     return "x".join(str(d) for d in dims)
 
 
+def _cyclic_table(d: int) -> np.ndarray:
+    """Every local vector the families put on a party of dimension d, in table
+    order: |0> (row 0), phase t (row 1 + t) and marker level q >= 1 (row d + q)."""
+    return np.stack([basis_vector(d, 0)] + [phase_vector(d, t) for t in range(d)]
+                    + [basis_vector(d, q) for q in range(1, d)])
+
+
 def _cyclic_family(dims: tuple[int, ...], stopper: bool, label: str) -> StateSet:
     """Block A families 0..n-1 (t ascending, from 1 with a stopper), Block B
-    families 0..n-1 (q ascending), then the all-ones stopper if asked for."""
+    families 0..n-1 (q ascending), then the all-ones stopper if asked for.
+
+    Family i puts phase t on party i, level q on party i+1 and |0> elsewhere.
+    Each party's table row is used: |0> by the other families, every phase by
+    Block A or the stopper, and every level >= 1 by Block A or B of family i-1.
+    """
     n = len(dims)
     _check_pair_count(sum(2 * d - 2 - stopper for d in dims) + stopper, n)
-    zeros = tuple(basis_vector(d, 0) for d in dims)
-    states = [_cyclic_state(zeros, i, t, dims[(i + 1) % n] - 1)
-              for i in range(n) for t in range(int(stopper), dims[i])]
-    states += [_cyclic_state(zeros, i, 1, q)
-               for i in range(n) for q in range(1, dims[(i + 1) % n] - 1)]
+    family = np.array(
+        [(i, t, dims[(i + 1) % n] - 1) for i in range(n) for t in range(int(stopper), dims[i])]
+        + [(i, 1, q) for i in range(n) for q in range(1, dims[(i + 1) % n] - 1)])
+    i, t, q = family.T
+    partner = (i + 1) % n
+    index = np.zeros((len(family) + stopper, n), dtype=np.intp)  # |0> everywhere
+    states = np.arange(len(family))
+    index[states, i] = 1 + t
+    index[states, partner] = np.array(dims)[partner] + q
     if stopper:
-        states.append(ProductState(tuple(phase_vector(d, 0) for d in dims)))
-    return StateSet(dims, tuple(states), label=label)
+        index[-1] = 1  # phase 0, the all-ones vector, on every party
+    tables = {d: _cyclic_table(d) for d in set(dims)}
+    return StateSet.from_table(dims, [tables[d] for d in dims], index, label=label)
 
 
 def theorem3_set(dims) -> StateSet:
@@ -139,11 +146,12 @@ def product_basis(dims) -> StateSet:
     Locally distinguishable by construction; useful as a negative control
     for certification.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _checked_dims(dims)
     _check_pair_count(prod(dims), len(dims))
-    bases = [[basis_vector(d, j) for j in range(d)] for d in dims]
-    states = tuple(ProductState(locs) for locs in itertools.product(*bases))
-    return StateSet(dims, states, label=f"product-basis dims={_dims_label(dims)}")
+    bases = [np.eye(d, dtype=np.complex128) for d in dims]  # row j is basis_vector(d, j)
+    # State r holds level index[r, j] on party j, the last party running fastest.
+    index = np.indices(dims).reshape(len(dims), -1).T
+    return StateSet.from_table(dims, bases, index, label=f"product-basis dims={_dims_label(dims)}")
 
 
 # The (n, d) grid of the acceptance sweep that `nlops selftest` and the tests share.
@@ -194,9 +202,9 @@ def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     """
     if a.dims != b.dims:
         raise ValueError(f"dim-mismatch: {a.dims} vs {b.dims}")
-    if len(a.states) != len(b.states):
+    if len(a) != len(b):
         return False
-    m = len(a.states)
+    m = len(a)
     overlap = np.ones((m, m), dtype=np.complex128)
     norm_a = np.ones(m)
     norm_b = np.ones(m)

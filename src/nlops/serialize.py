@@ -8,13 +8,14 @@ byte-identical and verdicts survive serialization exactly.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import re
 
 import numpy as np
 
 from .certifier import Certificate
-from .tensor_core import ProductState, StateSet
+from .tensor_core import StateSet, _check_local_vectors
 
 __all__ = [
     "FORMAT_VERSION",
@@ -49,20 +50,22 @@ def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
         f'  "label": {json.dumps(state_set.label)},',
         '  "states": [',
     ]
-    # The families repeat a few local vectors many times: format each once.
+    # Each distinct local vector is formatted once, even when parties share it.
     # Keys are the exact bytes, so 0.0 and -0.0 keep their own spellings.
-    texts: dict[bytes, str] = {}
-    last = len(state_set.states) - 1
-    for idx, state in enumerate(state_set.states):
-        parts = []
-        for vec in state.factors:
+    memo: dict[bytes, str] = {}
+    texts = []  # texts[j][r]: row r of party j's table, formatted
+    for table in state_set.vectors:
+        party_texts = []
+        for vec in table:
             key = vec.tobytes()
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _vector_text(vec, normalize)
-            parts.append(text)
+            if key not in memo:
+                memo[key] = _vector_text(vec, normalize)
+            party_texts.append(memo[key])
+        texts.append(party_texts)
+    last = len(state_set) - 1
+    for idx, row in enumerate(state_set.index.tolist()):
         comma = "," if idx < last else ""
-        lines.append("    [" + ", ".join(parts) + "]" + comma)
+        lines.append("    [" + ", ".join(map(list.__getitem__, texts, row)) + "]" + comma)
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -110,35 +113,60 @@ def loads_state_set(text: str) -> StateSet:
     _require(isinstance(label, str), "label must be a string")
     raw_states = doc.get("states")
     _require(isinstance(raw_states, list), "states must be an array")
-    # Messages are formatted only on failure: the loop visits every local vector.
-    states = []
+    # The families repeat a few local vectors many times, so each party's
+    # distinct decoded vectors are checked and converted once.  A vector's key
+    # is the marshal bytes (format 2, which has no back-references) of its
+    # decoded list: they hold each value's type and exact bits, so values that
+    # decode differently (-0.0 and 0.0, true and 1, "1" and 1) get different
+    # keys.  Its table row is then keyed on the amplitudes' bytes, so that 1
+    # and 1.0 share one.  Messages are formatted only on failure.
+    known: list[dict[bytes, int]] = [{} for _ in dims]  # per party: key -> table row
+    rows: list[dict[bytes, int]] = [{} for _ in dims]  # per party: amplitude bytes -> row
+    index = []
     for s_idx, raw in enumerate(raw_states):
         if not (isinstance(raw, list) and len(raw) == len(dims)):
             raise ValueError(f"malformed-file: state {s_idx} must have one entry per party")
-        factors = []
-        for p_idx, (raw_vec, d) in enumerate(zip(raw, dims)):
-            if not (isinstance(raw_vec, list) and len(raw_vec) == d):
-                raise ValueError(
-                    f"malformed-file: state {s_idx} party {p_idx} must have {d} amplitudes")
-            if not all(type(pair) is list and len(pair) == 2
-                       and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER
-                       for pair in raw_vec):
-                raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
-                                 "amplitudes must be [re, im] numbers")
-            try:
-                factors.append(np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel())
-            except OverflowError as exc:
-                raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
-                                 "amplitude too large for a float") from exc
-        try:
-            # ProductState rejects non-finite amplitudes and all-zero vectors.
-            states.append(ProductState(tuple(factors)))
-        except ValueError as exc:
-            raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
+        keys = [marshal.dumps(raw_vec, 2) for raw_vec in raw]
+        line = list(map(dict.get, known, keys))
+        if None in line:  # a vector this party has not held yet
+            for p_idx, row in enumerate(line):
+                if row is None:
+                    vec = _converted(raw[p_idx], dims[p_idx], s_idx, p_idx)
+                    table = rows[p_idx]
+                    line[p_idx] = known[p_idx][keys[p_idx]] = table.setdefault(
+                        vec.tobytes(), len(table))
+        index.append(line)
+    vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
+               for table, d in zip(rows, dims)]
     try:
-        return StateSet(tuple(dims), tuple(states), label=label)
+        return StateSet.from_table(tuple(dims), vectors,
+                                   np.array(index, dtype=np.intp).reshape(-1, len(dims)),
+                                   label=label)
     except ValueError as exc:
         raise ValueError(f"malformed-file: {exc}") from exc
+
+
+def _converted(raw_vec, d: int, s_idx: int, p_idx: int) -> np.ndarray:
+    """One decoded local vector, first held by state s_idx at party p_idx, checked
+    and converted to complex amplitudes."""
+    if not (isinstance(raw_vec, list) and len(raw_vec) == d):
+        raise ValueError(
+            f"malformed-file: state {s_idx} party {p_idx} must have {d} amplitudes")
+    if not all(type(pair) is list and len(pair) == 2
+               and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER
+               for pair in raw_vec):
+        raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
+                         "amplitudes must be [re, im] numbers")
+    try:
+        vec = np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel()
+    except OverflowError as exc:
+        raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
+                         "amplitude too large for a float") from exc
+    try:
+        _check_local_vectors(vec, [0])
+    except ValueError as exc:
+        raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
+    return vec
 
 
 def load_state_set(path: str | os.PathLike) -> StateSet:

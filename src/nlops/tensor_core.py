@@ -34,11 +34,20 @@ __all__ = [
 MAX_LOCAL_DIM = 64
 
 
+def _check_local_vectors(flat: np.ndarray, starts) -> None:
+    """Raise bad-local unless every amplitude is finite and every local vector,
+    the run of flat from one entry of starts to the next, has a nonzero one."""
+    if not np.isfinite(flat).all():
+        raise ValueError("bad-local: amplitudes must be finite")
+    if not np.logical_or.reduceat(flat != 0, starts).all():
+        raise ValueError("bad-local: a local vector needs at least one nonzero amplitude")
+
+
 @dataclass(frozen=True, eq=False)
 class ProductState:
     """Unnormalized tensor product, stored as one local vector per party.
 
-    The factors are read-only views of one private buffer, so later changes
+    The factors are read-only views of a private buffer, so later changes
     to the caller's arrays do not reach the state.
     """
 
@@ -51,12 +60,9 @@ class ProductState:
         if any(p.ndim != 1 or p.size == 0 for p in parts):
             raise ValueError("bad-local: amplitudes must be a nonempty 1-D sequence")
         flat = np.concatenate(parts)
-        if not np.isfinite(flat).all():
-            raise ValueError("bad-local: amplitudes must be finite")
         ends = list(accumulate(p.size for p in parts))
         starts = [0] + ends[:-1]
-        if not np.logical_or.reduceat(flat != 0, starts).all():
-            raise ValueError("bad-local: a local vector needs at least one nonzero amplitude")
+        _check_local_vectors(flat, starts)
         flat.flags.writeable = False
         object.__setattr__(
             self, "factors", tuple(flat[a:b] for a, b in zip(starts, ends))
@@ -85,35 +91,109 @@ class ProductState:
         return ProductState((self.factors[0] * scalar,) + self.factors[1:])
 
 
-@dataclass(frozen=True, eq=False)
+def _state_of_checked(factors: tuple[np.ndarray, ...]) -> ProductState:
+    """A ProductState over factors that are already read-only, checked local vectors."""
+    state = object.__new__(ProductState)
+    object.__setattr__(state, "factors", factors)
+    return state
+
+
+def _checked_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2:
+        raise ValueError("bad-dimension: a state set needs at least two parties")
+    if any(d < 1 for d in dims):
+        raise ValueError("bad-dimension: local dimensions must be positive")
+    return dims
+
+
 class StateSet:
-    """Ordered collection of product states on fixed local dimensions."""
+    """Ordered collection of product states on fixed local dimensions.
 
-    dims: tuple[int, ...]
-    states: tuple[ProductState, ...]
-    label: str = ""
+    A set is stored as one table per party: vectors[j] is a read-only
+    (k_j, d_j) array of the byte-distinct local vectors that some state holds
+    at party j, and the read-only (m, n) array index says which one each
+    state holds: vectors[j][index[i, j]].  The families reuse a few local
+    vectors many times, so the table is much smaller than the states, which
+    are built from it only when first asked for.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 2:
-            raise ValueError("bad-dimension: a state set needs at least two parties")
-        if any(d < 1 for d in dims):
-            raise ValueError("bad-dimension: local dimensions must be positive")
-        states = tuple(self.states)
-        for s in states:
+    def __init__(self, dims, states, label: str = ""):
+        dims = _checked_dims(dims)
+        states = tuple(states)
+        seen = [{} for _ in dims]  # per party: a factor's bytes -> its table row
+        index = np.empty((len(states), len(dims)), dtype=np.intp)
+        for i, s in enumerate(states):
             if s.dims != dims:
                 raise ValueError(
                     f"dim-mismatch: state dims {s.dims} do not match set dims {dims}"
                 )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "states", states)
+            index[i] = [rows.setdefault(f.tobytes(), len(rows))
+                        for rows, f in zip(seen, s.factors)]
+        vectors = [np.frombuffer(b"".join(rows), dtype=np.complex128).reshape(len(rows), d)
+                   for rows, d in zip(seen, dims)]
+        self._set_table(dims, vectors, index, label)
+
+    @classmethod
+    def from_table(cls, dims, vectors, index, label: str = "") -> "StateSet":
+        """The set whose state i holds vectors[j][index[i, j]] at party j.
+
+        The arrays are copied and checked as every set's table is: per party
+        one (k_j, d_j) array of finite local vectors with a nonzero amplitude
+        each, pairwise byte-distinct, each held by some state.
+        """
+        state_set = object.__new__(cls)
+        state_set._set_table(_checked_dims(dims), vectors, index, label)
+        return state_set
+
+    def _set_table(self, dims, vectors, index, label) -> None:
+        index = np.array(index, dtype=np.intp)
+        if len(vectors) != len(dims) or index.ndim != 2 or index.shape[1] != len(dims):
+            raise ValueError(f"bad-table: need one vector table and one index column "
+                             f"per party of {dims}")
+        tables = []
+        for j, (table, d) in enumerate(zip(vectors, dims)):
+            table = np.array(table, dtype=np.complex128)
+            if table.ndim != 2 or table.shape[1] != d:
+                raise ValueError(f"dim-mismatch: party {j} table has shape {table.shape}, "
+                                 f"not (k, {d})")
+            _check_local_vectors(table.ravel(), np.arange(0, table.size, d))
+            column, k = index[:, j], len(table)
+            if not ((column >= 0) & (column < k)).all():
+                raise ValueError(f"bad-table: party {j} index out of range")
+            if not np.bincount(column, minlength=k).all():
+                raise ValueError(f"bad-table: party {j} table holds a vector no state uses")
+            if len({row.tobytes() for row in table}) != k:
+                raise ValueError(f"bad-table: party {j} table repeats a vector")
+            table.flags.writeable = False
+            tables.append(table)
+        index.flags.writeable = False
+        for name, value in (("dims", dims), ("vectors", tuple(tables)), ("index", index),
+                            ("label", label), ("_states", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StateSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"StateSet is immutable: cannot delete {name!r}")
+
+    @property
+    def states(self) -> tuple[ProductState, ...]:
+        """The product states; their factors are read-only views of the table's rows."""
+        if self._states is None:
+            rows = [list(table) for table in self.vectors]
+            object.__setattr__(self, "_states", tuple(
+                _state_of_checked(tuple(r[i] for r, i in zip(rows, line)))
+                for line in self.index.tolist()))
+        return self._states
 
     @property
     def n_parties(self) -> int:
         return len(self.dims)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.index)
 
     def __iter__(self):
         return iter(self.states)
@@ -122,9 +202,7 @@ class StateSet:
         """All states' local vectors at one party, stacked into an (m, d) array."""
         if not 0 <= party < self.n_parties:
             raise ValueError(f"bad-party: party {party} out of range")
-        if not self.states:
-            return np.zeros((0, self.dims[party]), dtype=np.complex128)
-        return np.stack([s.factors[party] for s in self.states])
+        return self.vectors[party][self.index[:, party]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
+from collections import Counter
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -101,10 +102,13 @@ def test_assemble_theorem2_3_2_party0():
 
 
 def test_assemble_product_basis_party0():
-    # Pairs agreeing on party 1 are the only active ones; both force E01 = 0.
+    # Pairs agreeing on party 1 are the only active ones.  Both hold |0> and |1>
+    # on party 0, so they give one row pair, which forces E01 = 0.
     pb = product_basis((2, 2))
     rows = assemble_constraints(pb, 0)
-    assert rows.shape == (4, 4)  # two active pairs
+    assert rows.shape == (2, 4)  # one distinct pair of local vectors
+    rep = certify_nonlocal(pb).parties[0]
+    assert (rep.active_pairs, rep.distinct_rows) == (2, 1)
     expected = _constraint_rows(pb.states[0].factors[0], pb.states[2].factors[0])
     assert _same_row_space(rows, expected)
 
@@ -234,6 +238,16 @@ def test_brute_force_matches_per_pair_kron_reference(state_set):
         small = StateSet(state_set.dims, state_set.states[:size])
         for k in (0, n // 2, n - 1):
             assert brute_force_constraints(small, k).shape == (0, state_set.dims[k] ** 2)
+
+
+@pytest.mark.parametrize("state_set", _ORACLE_SETS + [theorem1_set(40, 4)], ids=lambda s: s.label)
+def test_distinct_rows_never_exceed_active_pairs(state_set):
+    unshared = all(len(table) == len(state_set) for table in state_set.vectors)
+    for rep in certify_nonlocal(state_set).parties:
+        rows = assemble_constraints(state_set, rep.party)
+        assert rep.distinct_rows == rows.shape[0] // 2 <= rep.active_pairs
+        if unshared:  # no two states share a local vector, as in the rescaled set
+            assert rep.distinct_rows == rep.active_pairs
 
 
 def test_brute_force_does_not_use_the_fast_path(monkeypatch):
@@ -428,16 +442,13 @@ def test_orthogonality_refuses_too_many_states():
 # ---------------------------------------------------------------------------
 
 def test_certificate_reads_each_party_once(monkeypatch):
-    calls = []
-    party_vectors = StateSet.party_vectors
+    def refuse(self, party):
+        raise AssertionError("the fast path reads the table, not party_vectors")
 
-    def counting(self, party):
-        calls.append(party)
-        return party_vectors(self, party)
-
-    monkeypatch.setattr(StateSet, "party_vectors", counting)
+    monkeypatch.setattr(StateSet, "party_vectors", refuse)
+    certifier._pair_overlaps.cache_clear()
     certify_nonlocal(theorem1_set(6, 3))
-    assert sorted(calls) == list(range(6))
+    assert certifier._pair_overlaps.cache_info().misses == 1
 
 
 def _norm_without(state, party):
@@ -467,12 +478,22 @@ def test_assembly_matches_scalar_activity_and_residuals(state_set):
         active = [(a, b) for a, b in pairs
                   if abs(partial_inner_excluding(states[a], states[b], k))
                   / (_norm_without(states[a], k) * _norm_without(states[b], k)) > tol.tol_active]
+        # One row pair per distinct unordered pair of local vectors, from its
+        # first active pair, weighted by the square root of how many share it.
+        first, count = {}, Counter()
+        for a, b in active:
+            key = frozenset((states[a].factors[k].tobytes(), states[b].factors[k].tobytes()))
+            first.setdefault(key, (a, b))
+            count[key] += 1
         d = state_set.dims[k]
         want = np.concatenate([np.zeros((0, d * d))] + [
-            _constraint_rows(states[a].factors[k], states[b].factors[k]) for a, b in active])
+            np.sqrt(count[key]) * _constraint_rows(states[a].factors[k], states[b].factors[k])
+            for key, (a, b) in first.items()])
         got = assemble_constraints(state_set, k, tol.tol_active)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        rep = certify_nonlocal(state_set, tol).parties[k]
+        assert (rep.active_pairs, rep.distinct_rows) == (len(active), len(first))
 
 
 def test_overlap_table_is_not_shared_between_sets():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlops import (
     ProductState,
@@ -98,6 +99,9 @@ def test_normalized_export_has_unit_locals_and_same_verdict():
         pytest.param("[" * 100000 + "]" * 100000, id="nesting-past-the-recursion-limit"),
         # boolean dimension
         '{"format_version": "nlops-1", "dims": [true, 2], "label": "", "states": []}',
+        # a later state repeats a valid vector, spelled with a boolean or a string
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]], [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+        '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]}',
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -185,3 +189,56 @@ def test_dump_keeps_both_spellings_of_zero():
         "    [[[1, -0], [0, 0]], [[0, 0], [1, 0]]],",
         "    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
     ]
+
+
+def _state_line(vectors):
+    return "[" + ", ".join(vectors) + "]"
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("[[0, 0], [0, 0]]", "state 3: bad-local: a local vector needs at least one nonzero amplitude"),
+    ("[[1, 0], [Infinity, 0]]", "state 3: bad-local: amplitudes must be finite"),
+    ('[[1, 0], ["x", 0]]', "state 3 party 1: amplitudes must be [re, im] numbers"),
+    ("[[1, 0]]", "state 3 party 1 must have 2 amplitudes"),
+])
+def test_load_names_the_first_state_holding_a_bad_vector(bad, error):
+    good = ["[[1, 0], [0, 0]]", "[[0, 0], [1, 0]]"]
+    lines = [_state_line([good[i % 2], good[(i // 2) % 2]]) for i in range(8)]
+    lines[3] = _state_line([good[0], bad])  # party 1 of state 3 ...
+    lines[7] = _state_line([bad, good[0]])  # ... and party 0 of state 7
+    text = ('{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": ['
+            + ", ".join(lines) + "]}")
+    with pytest.raises(ValueError) as info:
+        loads_state_set(text)
+    assert str(info.value) == f"malformed-file: {error}"
+
+
+def _shared_vector_sets():
+    dup = theorem2_set(3, 2)
+    return _signed_zero_set(), StateSet(dup.dims, dup.states + dup.states[:1], label="dup")
+
+
+def _assert_table_gives_back(state_set, states):
+    """The set's table is read-only, byte-distinct and fully used, and its
+    states have factors byte-equal to the given ones."""
+    assert state_set.index.shape == (len(states), state_set.n_parties)
+    assert not state_set.index.flags.writeable
+    for j, table in enumerate(state_set.vectors):
+        assert not table.flags.writeable
+        assert len({row.tobytes() for row in table}) == len(table)
+        assert sorted(set(state_set.index[:, j].tolist())) == list(range(len(table)))
+    assert len(state_set) == len(state_set.states) == len(states)
+    for got, want in zip(state_set, states):
+        assert not any(f.flags.writeable for f in got.factors)
+        assert [f.tobytes() for f in got.factors] == [f.tobytes() for f in want.factors]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_table_and_file_give_back_the_states(data):
+    base = data.draw(st.sampled_from(_shared_vector_sets()) | st.sampled_from(sweep_sets()))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=2 * len(base)))
+    states = tuple(base.states[i] for i in picks)
+    built = StateSet(base.dims, states)
+    _assert_table_gives_back(built, states)
+    _assert_table_gives_back(loads_state_set(dumps_state_set(built)), states)

@@ -1,5 +1,6 @@
 """Tests for inner products, the Hermitian basis, and the null-space solver."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,40 @@ def test_state_set_validation():
         StateSet((2,), (ProductState(([1, 0],)),))
     ss = StateSet((2, 2), (good,), label="x")
     assert len(ss) == 1 and ss.n_parties == 2
+    with pytest.raises(AttributeError):
+        ss.label = "y"
+    with pytest.raises(AttributeError):
+        del ss.index
+
+
+_ONE = np.array([[1.0, 0.0]])
+_BOTH = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("vectors, index, error", [
+    ((_ONE,), [[0, 0]], "bad-table: need one vector table"),
+    ((_ONE, _ONE), [[0]], "bad-table: need one vector table"),
+    ((_ONE, np.ones((1, 3))), [[0, 0]], "dim-mismatch: party 1 table has shape"),
+    ((_ONE, np.zeros((1, 2))), [[0, 0]], "bad-local: a local vector needs"),
+    ((_ONE, np.array([[np.nan, 1.0]])), [[0, 0]], "bad-local: amplitudes must be finite"),
+    ((_ONE, _BOTH), [[0, 2]], "bad-table: party 1 index out of range"),
+    ((_ONE, _BOTH), [[0, -1]], "bad-table: party 1 index out of range"),
+    ((_ONE, _BOTH), [[0, 1]], "bad-table: party 1 table holds a vector no state uses"),
+    ((_ONE, np.vstack([_ONE, _ONE])), [[0, 0], [0, 1]], "bad-table: party 1 table repeats"),
+])
+def test_state_set_table_is_checked(vectors, index, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        StateSet.from_table((2, 2), vectors, index)
+
+
+def test_state_set_from_table_copies_its_input():
+    vectors, index = [_BOTH.copy(), _BOTH.copy()], np.array([[0, 1], [1, 0]])
+    ss = StateSet.from_table((2, 2), vectors, index, label="t")
+    vectors[0][:] = 5
+    index[:] = 0
+    assert_array_equal(ss.party_vectors(0), _BOTH)
+    assert_array_equal(ss.party_vectors(1), _BOTH[::-1])
+    assert not any(f.flags.writeable for f in (ss.index, *ss.vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
     python3 tools/bench_grid.py --src OTHER/src      # another checkout's source
 
 It times ``certify_nonlocal`` on the ``theorem1_set`` grid (best of
-REPEAT runs; a case stops repeating once it has used CASE_BUDGET_S seconds),
+REPEAT runs, each with the cached pair-overlap table cleared first, so every
+run builds it as a first certificate does; a case stops repeating once it has
+used CASE_BUDGET_S seconds),
 ``nlops selftest`` end to end in-process (best of REPEAT),
 and the time spent inside ``nullspace_real`` and ``brute_force_constraints``
 during one more selftest.  Both functions call no other nlops function that
@@ -70,6 +72,7 @@ def main() -> int:
         state_set = theorem1_set(n, d)
         times = []
         while len(times) < REPEAT and sum(times) < CASE_BUDGET_S:
+            certifier._pair_overlaps.cache_clear()
             start = time.perf_counter()
             cert = certifier.certify_nonlocal(state_set)
             times.append(time.perf_counter() - start)
