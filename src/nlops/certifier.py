@@ -92,16 +92,10 @@ class OrthogonalityReport:
 
 @dataclass(frozen=True, eq=False)
 class PartyReport:
-    """Per-party outcome: size of the admissible-operator space and triviality.
-
-    active_pairs counts the pairs of states that constrain the party;
-    distinct_rows counts the row pairs handed to rank, one per distinct
-    unordered pair of local vectors among them.
-    """
+    """Per-party outcome: size of the admissible-operator space and triviality."""
 
     party: int
     active_pairs: int
-    distinct_rows: int
     solution_dim: int
     trivial: bool
     witness: HermitianCoords | None = None
@@ -181,46 +175,26 @@ def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> Ort
     return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
 
 
-def _active(state_set: StateSet, party: int, tol_active: float) -> np.ndarray:
-    """Mask over the pairs a < b: those whose normalized overlap over the
-    other parties exceeds tol_active, so that they constrain the party."""
-    others = _pair_overlaps(state_set)[3]
-    return others[party] > tol_active
-
-
 def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e-10) -> np.ndarray:
     """Real constraint matrix on the party's Hermitian coordinates.
 
-    A pair (a, b) of states constrains the party when its normalized overlap
-    product over the other parties exceeds tol_active.  Its constraint is the
-    functional x -> <u_a|E(x)|u_b> on the party's normalized local vectors,
-    which depends only on which two distinct local vectors u_a and u_b are.
-    So each distinct unordered pair of local vectors held by an active pair
-    contributes two rows, the real and imaginary parts of the functional of
-    its first active pair: the (b, a) functional is the conjugate of the
-    (a, b) one and spans the same rows.  The two rows are scaled by the square
-    root of the number of active pairs that hold the same two vectors, so the
-    rows have the Gram matrix, and so the singular values and the rank at any
-    tolerance, of one row pair per active pair.  Inactive pairs contribute
-    nothing.
+    Each unordered pair (a, b) whose normalized overlap product over the
+    other parties exceeds tol_active contributes two rows, the real and
+    imaginary parts of the functional x -> <u_a|E(x)|u_b> on the party's
+    normalized local vectors.  Inactive pairs contribute nothing.
     """
     _check_party(state_set, party)
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
-    iu, jv, units, _ = _pair_overlaps(state_set)
-    active = _active(state_set, party, tol_active)
+    iu, jv, units, others = _pair_overlaps(state_set)
+    active = others[party] > tol_active
     column, u = state_set.index[:, party], units[party]
-    p, q = column[iu[active]], column[jv[active]]
-    _, first, counts = np.unique(np.minimum(p, q) * len(u) + np.maximum(p, q),
-                                 return_index=True, return_counts=True)
-    order = np.argsort(first)
-    p, q = p[first[order]], q[first[order]]
-    # <u_p|B_x|u_q> = sum_{j,r} B_x[j,r] * conj(u_p[j]) u_q[r]
-    w = (u[p].conj()[:, :, None] * u[q][:, None, :]).reshape(p.size, d * d)
-    w *= np.sqrt(counts[order])[:, None]
+    ia, jb = column[iu[active]], column[jv[active]]
+    # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
+    w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
     values = w @ basis.T
-    rows = np.empty((2 * p.size, d * d))
+    rows = np.empty((2 * ia.size, d * d))
     rows[0::2] = values.real
     rows[1::2] = values.imag
     return rows
@@ -298,8 +272,7 @@ def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyRepo
             witness = HermitianCoords(state_set.dims[party], off[:, best] / lengths[best])
     return PartyReport(
         party=party,
-        active_pairs=int(np.count_nonzero(_active(state_set, party, tol.tol_active))),
-        distinct_rows=rows.shape[0] // 2,
+        active_pairs=rows.shape[0] // 2,
         solution_dim=dim,
         trivial=trivial,
         witness=witness,

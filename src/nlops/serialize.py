@@ -11,6 +11,7 @@ import json
 import marshal
 import os
 import re
+from itertools import accumulate
 
 import numpy as np
 
@@ -128,13 +129,18 @@ def loads_state_set(text: str) -> StateSet:
             raise ValueError(f"malformed-file: state {s_idx} must have one entry per party")
         keys = [marshal.dumps(raw_vec, 2) for raw_vec in raw]
         line = list(map(dict.get, known, keys))
-        if None in line:  # a vector this party has not held yet
-            for p_idx, row in enumerate(line):
-                if row is None:
-                    vec = _converted(raw[p_idx], dims[p_idx], s_idx, p_idx)
-                    table = rows[p_idx]
-                    line[p_idx] = known[p_idx][keys[p_idx]] = table.setdefault(
-                        vec.tobytes(), len(table))
+        if None in line:  # vectors these parties have not held yet
+            fresh = [p_idx for p_idx, row in enumerate(line) if row is None]
+            vecs = [_converted(raw[p_idx], dims[p_idx], s_idx, p_idx) for p_idx in fresh]
+            try:  # one finite/nonzero check per state, as ProductState makes
+                _check_local_vectors(np.concatenate(vecs),
+                                     [0, *accumulate(len(v) for v in vecs[:-1])])
+            except ValueError as exc:
+                raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
+            for p_idx, vec in zip(fresh, vecs):
+                table = rows[p_idx]
+                line[p_idx] = known[p_idx][keys[p_idx]] = table.setdefault(
+                    vec.tobytes(), len(table))
         index.append(line)
     vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
                for table, d in zip(rows, dims)]
@@ -147,8 +153,8 @@ def loads_state_set(text: str) -> StateSet:
 
 
 def _converted(raw_vec, d: int, s_idx: int, p_idx: int) -> np.ndarray:
-    """One decoded local vector, first held by state s_idx at party p_idx, checked
-    and converted to complex amplitudes."""
+    """One decoded local vector, first held by state s_idx at party p_idx, with
+    its shape and types checked, converted to complex amplitudes."""
     if not (isinstance(raw_vec, list) and len(raw_vec) == d):
         raise ValueError(
             f"malformed-file: state {s_idx} party {p_idx} must have {d} amplitudes")
@@ -158,15 +164,10 @@ def _converted(raw_vec, d: int, s_idx: int, p_idx: int) -> np.ndarray:
         raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
                          "amplitudes must be [re, im] numbers")
     try:
-        vec = np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel()
+        return np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel()
     except OverflowError as exc:
         raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
                          "amplitude too large for a float") from exc
-    try:
-        _check_local_vectors(vec, [0])
-    except ValueError as exc:
-        raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
-    return vec
 
 
 def load_state_set(path: str | os.PathLike) -> StateSet:

@@ -1,6 +1,5 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
-from collections import Counter
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -102,13 +101,11 @@ def test_assemble_theorem2_3_2_party0():
 
 
 def test_assemble_product_basis_party0():
-    # Pairs agreeing on party 1 are the only active ones.  Both hold |0> and |1>
-    # on party 0, so they give one row pair, which forces E01 = 0.
+    # Pairs agreeing on party 1 are the only active ones; both force E01 = 0.
     pb = product_basis((2, 2))
     rows = assemble_constraints(pb, 0)
-    assert rows.shape == (2, 4)  # one distinct pair of local vectors
-    rep = certify_nonlocal(pb).parties[0]
-    assert (rep.active_pairs, rep.distinct_rows) == (2, 1)
+    assert rows.shape == (4, 4)  # two active pairs
+    assert certify_nonlocal(pb).parties[0].active_pairs == 2
     expected = _constraint_rows(pb.states[0].factors[0], pb.states[2].factors[0])
     assert _same_row_space(rows, expected)
 
@@ -240,16 +237,6 @@ def test_brute_force_matches_per_pair_kron_reference(state_set):
             assert brute_force_constraints(small, k).shape == (0, state_set.dims[k] ** 2)
 
 
-@pytest.mark.parametrize("state_set", _ORACLE_SETS + [theorem1_set(40, 4)], ids=lambda s: s.label)
-def test_distinct_rows_never_exceed_active_pairs(state_set):
-    unshared = all(len(table) == len(state_set) for table in state_set.vectors)
-    for rep in certify_nonlocal(state_set).parties:
-        rows = assemble_constraints(state_set, rep.party)
-        assert rep.distinct_rows == rows.shape[0] // 2 <= rep.active_pairs
-        if unshared:  # no two states share a local vector, as in the rescaled set
-            assert rep.distinct_rows == rep.active_pairs
-
-
 def test_brute_force_does_not_use_the_fast_path(monkeypatch):
     state_set = theorem4_set((2, 3, 4))
     want = [brute_force_constraints(state_set, k) for k in range(state_set.n_parties)]
@@ -300,6 +287,32 @@ def test_product_basis_not_certified_with_diagonal_witnesses(dims):
         assert np.max(np.abs(rows @ rep.witness.coords)) <= 1e-8
         oracle_dim = nullspace_real(brute_force_constraints(pb, k)).shape[1]
         assert oracle_dim == rep.solution_dim
+
+
+def _truncated(base, cut):
+    return StateSet(base.dims, base.states[:-cut], label=f"{base.label} minus {cut}")
+
+
+@pytest.mark.parametrize("state_set", [
+    product_basis((2, 2)), product_basis((2, 3)), product_basis((3, 2, 2)),
+    _truncated(theorem1_set(3, 3), 4), _truncated(theorem4_set((2, 3, 4)), 6),
+    _truncated(_rescaled(theorem2_set(3, 2), 7), 2),
+], ids=lambda s: s.label)
+def test_every_witness_is_a_unit_identity_orthogonal_solution(state_set):
+    # A degenerate solution space leaves LAPACK free to pick any witness in
+    # it; whichever it picks must still be a valid one.
+    reports = [rep for rep in certify_nonlocal(state_set).parties if rep.witness is not None]
+    assert reports
+    for rep in reports:
+        w = rep.witness.coords
+        assert rep.witness.dim == state_set.dims[rep.party]
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert w[0] == 0.0  # no component along the identity
+        for rows in (assemble_constraints(state_set, rep.party),
+                     brute_force_constraints(state_set, rep.party)):
+            assert np.max(np.abs(rows @ w), initial=0.0) <= 1e-10
+        space = np.stack([h.coords for h in solution_space(state_set, rep.party)], axis=1)
+        assert np.linalg.norm(w - space @ (space.T @ w)) <= 1e-10
 
 
 def test_duplicate_state_yields_not_orthogonal():
@@ -478,22 +491,13 @@ def test_assembly_matches_scalar_activity_and_residuals(state_set):
         active = [(a, b) for a, b in pairs
                   if abs(partial_inner_excluding(states[a], states[b], k))
                   / (_norm_without(states[a], k) * _norm_without(states[b], k)) > tol.tol_active]
-        # One row pair per distinct unordered pair of local vectors, from its
-        # first active pair, weighted by the square root of how many share it.
-        first, count = {}, Counter()
-        for a, b in active:
-            key = frozenset((states[a].factors[k].tobytes(), states[b].factors[k].tobytes()))
-            first.setdefault(key, (a, b))
-            count[key] += 1
         d = state_set.dims[k]
         want = np.concatenate([np.zeros((0, d * d))] + [
-            np.sqrt(count[key]) * _constraint_rows(states[a].factors[k], states[b].factors[k])
-            for key, (a, b) in first.items()])
+            _constraint_rows(states[a].factors[k], states[b].factors[k]) for a, b in active])
         got = assemble_constraints(state_set, k, tol.tol_active)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
-        rep = certify_nonlocal(state_set, tol).parties[k]
-        assert (rep.active_pairs, rep.distinct_rows) == (len(active), len(first))
+        assert certify_nonlocal(state_set, tol).parties[k].active_pairs == len(active)
 
 
 def test_overlap_table_is_not_shared_between_sets():

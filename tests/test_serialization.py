@@ -213,6 +213,18 @@ def test_load_names_the_first_state_holding_a_bad_vector(bad, error):
     assert str(info.value) == f"malformed-file: {error}"
 
 
+def test_load_checks_each_new_vector_of_a_state():
+    # State 1 brings two vectors no earlier state held; the zero one comes first.
+    lines = [_state_line(["[[1, 0], [0, 0]]", "[[1, 0], [0, 0]]"]),
+             _state_line(["[[0, 0], [0, 0]]", "[[0, 0], [1, 0]]"])]
+    text = ('{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": ['
+            + ", ".join(lines) + "]}")
+    with pytest.raises(ValueError) as info:
+        loads_state_set(text)
+    assert str(info.value) == ("malformed-file: state 1: bad-local: "
+                               "a local vector needs at least one nonzero amplitude")
+
+
 def _shared_vector_sets():
     dup = theorem2_set(3, 2)
     return _signed_zero_set(), StateSet(dup.dims, dup.states + dup.states[:1], label="dup")
