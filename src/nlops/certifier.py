@@ -92,12 +92,13 @@ class OrthogonalityReport:
 
 @dataclass(frozen=True, eq=False)
 class PartyReport:
-    """Per-party outcome: size of the admissible-operator space and triviality."""
+    """Per-party outcome: the admissible-operator space, its size and triviality."""
 
     party: int
     active_pairs: int
     solution_dim: int
     trivial: bool
+    solution: np.ndarray  # read-only orthonormal (d^2, solution_dim) basis of the space
     witness: HermitianCoords | None = None
 
 
@@ -250,14 +251,14 @@ def solution_space(
     tol_active: float = 1e-10,
 ) -> list[HermitianCoords]:
     """Orthonormal basis of Hermitian operators satisfying all constraints."""
-    basis = nullspace_real(assemble_constraints(state_set, party, tol_active), tol_rank)
-    d = state_set.dims[party]
-    return [HermitianCoords(d, basis[:, i]) for i in range(basis.shape[1])]
+    rep = _party_report(state_set, party, Tolerances(tol_rank, tol_active))
+    return [HermitianCoords(state_set.dims[party], c) for c in rep.solution.T]
 
 
 def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyReport:
     rows = assemble_constraints(state_set, party, tol.tol_active)
     basis = nullspace_real(rows, tol.tol_rank)
+    basis.flags.writeable = False
     dim = basis.shape[1]
     # Each solution's component orthogonal to the identity direction.
     off = basis.copy()
@@ -267,14 +268,15 @@ def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyRepo
         lengths[0] ** 2 <= IDENTITY_ALIGNMENT_EPS * float(basis[:, 0] @ basis[:, 0]))
     witness = None
     if not trivial and dim:
+        # lengths[best] > 0: above 3e-5 when dim == 1, at least sqrt(1/2) when dim >= 2.
         best = int(np.argmax(lengths))
-        if lengths[best] > 1e-14:
-            witness = HermitianCoords(state_set.dims[party], off[:, best] / lengths[best])
+        witness = HermitianCoords(state_set.dims[party], off[:, best] / lengths[best])
     return PartyReport(
         party=party,
         active_pairs=rows.shape[0] // 2,
         solution_dim=dim,
         trivial=trivial,
+        solution=basis,
         witness=witness,
     )
 

@@ -25,7 +25,7 @@ from math import prod
 import numpy as np
 
 from .certifier import _check_pair_count
-from .tensor_core import StateSet, _checked_dims
+from .tensor_core import StateSet, _check_local_dim, _checked_dims
 
 __all__ = [
     "phase_vector",
@@ -93,6 +93,7 @@ def _cyclic_family(dims: tuple[int, ...], stopper: bool, label: str) -> StateSet
     Block A or the stopper, and every level >= 1 by Block A or B of family i-1.
     """
     n = len(dims)
+    _check_local_dim(max(dims))
     _check_pair_count(sum(2 * d - 2 - stopper for d in dims) + stopper, n)
     family = np.array(
         [(i, t, dims[(i + 1) % n] - 1) for i in range(n) for t in range(int(stopper), dims[i])]
@@ -147,6 +148,7 @@ def product_basis(dims) -> StateSet:
     for certification.
     """
     dims = _checked_dims(dims)
+    _check_local_dim(max(dims))
     _check_pair_count(prod(dims), len(dims))
     bases = [np.eye(d, dtype=np.complex128) for d in dims]  # row j is basis_vector(d, j)
     # State r holds level index[r, j] on party j, the last party running fastest.

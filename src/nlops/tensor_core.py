@@ -34,6 +34,12 @@ __all__ = [
 MAX_LOCAL_DIM = 64
 
 
+def _check_local_dim(d: int) -> None:
+    """Refuse a local dimension above MAX_LOCAL_DIM, too large for its Hermitian basis."""
+    if d > MAX_LOCAL_DIM:
+        raise ValueError(f"too-large: local dimension {d} exceeds {MAX_LOCAL_DIM}")
+
+
 def _check_local_vectors(flat: np.ndarray, starts) -> None:
     """Raise bad-local unless every amplitude is finite and every local vector,
     the run of flat from one entry of starts to the next, has a nonzero one."""
@@ -278,8 +284,7 @@ def hermitian_basis_flat(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("bad-dimension: d must be >= 1")
-    if d > MAX_LOCAL_DIM:
-        raise ValueError(f"too-large: local dimension {d} exceeds {MAX_LOCAL_DIM}")
+    _check_local_dim(d)
     mats = np.zeros((d * d, d, d), dtype=np.complex128)
     diag = np.arange(d)
     mats[0, diag, diag] = 1.0 / np.sqrt(d)

@@ -301,7 +301,16 @@ def _truncated(base, cut):
 def test_every_witness_is_a_unit_identity_orthogonal_solution(state_set):
     # A degenerate solution space leaves LAPACK free to pick any witness in
     # it; whichever it picks must still be a valid one.
-    reports = [rep for rep in certify_nonlocal(state_set).parties if rep.witness is not None]
+    parties = certify_nonlocal(state_set).parties
+    for rep in parties:
+        s, d = rep.solution, state_set.dims[rep.party]
+        assert not s.flags.writeable
+        assert s.shape == (d * d, rep.solution_dim)
+        assert_allclose(s.T @ s, np.eye(rep.solution_dim), rtol=0, atol=1e-12)
+        assert np.max(np.abs(assemble_constraints(state_set, rep.party) @ s), initial=0.0) <= 1e-8
+        space = np.stack([h.coords for h in solution_space(state_set, rep.party)], axis=1)
+        assert_array_equal(space, s)
+    reports = [rep for rep in parties if rep.witness is not None]
     assert reports
     for rep in reports:
         w = rep.witness.coords
@@ -311,8 +320,7 @@ def test_every_witness_is_a_unit_identity_orthogonal_solution(state_set):
         for rows in (assemble_constraints(state_set, rep.party),
                      brute_force_constraints(state_set, rep.party)):
             assert np.max(np.abs(rows @ w), initial=0.0) <= 1e-10
-        space = np.stack([h.coords for h in solution_space(state_set, rep.party)], axis=1)
-        assert np.linalg.norm(w - space @ (space.T @ w)) <= 1e-10
+        assert np.linalg.norm(w - rep.solution @ (rep.solution.T @ w)) <= 1e-10
 
 
 def test_duplicate_state_yields_not_orthogonal():

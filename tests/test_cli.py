@@ -9,11 +9,12 @@ import sys
 from collections import Counter
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 import nlops
 from nlops import ProductState, basis_vector, dump_state_set, product_basis, theorem2_set
-from nlops.cli import main
+from nlops.cli import _subspace_gap, main
 from nlops import certifier
 from nlops.tensor_core import StateSet
 
@@ -60,9 +61,12 @@ def _cap_address_space():
 
 
 @pytest.mark.parametrize("size", [["--theorem", "1", "--n", "3", "--d", "3000"],
-                                  ["--theorem", "3", "--dims", "2,2,100000"]])
+                                  ["--theorem", "3", "--dims", "2,2,100000"],
+                                  ["--theorem", "1", "--n", "3", "--d", "65"],
+                                  ["--theorem", "4", "--dims", "2,3,100"]])
 def test_generate_refuses_a_set_too_large_to_certify_before_building_it(tmp_path, size):
     # 17,994 and 200,002 states: building either would take several GB, past the cap.
+    # The last two are small, but a local dimension above 64 has no Hermitian basis.
     out = tmp_path / "big.json"
     src = pathlib.Path(nlops.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-m", "nlops", "generate", *size, "--out", str(out)],
@@ -253,6 +257,30 @@ def test_selftest_reads_each_party_of_each_set_once(capsys, monkeypatch):
               if line.split()[1] in ("orthogonality", "negative-control")}
     assert len(labels) == 68
     assert certifier._pair_overlaps.cache_info().misses == 68
+
+
+def test_oracle_equivalence_checks_the_certified_solution_space(capsys, monkeypatch):
+    # A fast path that drops two active pairs certifies too little; the oracle
+    # must catch it in the certificate itself, not in a solve of its own.
+    full = certifier.assemble_constraints
+    monkeypatch.setattr(certifier, "assemble_constraints",
+                        lambda *args, **kwargs: full(*args, **kwargs)[:-4])
+    assert main(["selftest", "--max-total-dim", "64"]) == 1
+    # A failing line reads "[FAIL] kind label  detail".
+    failed = {tuple(line.split("  ")[0].split(maxsplit=2)[1:])
+              for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")}
+    uncertified = {label for kind, label in failed if kind == "certify"}
+    assert uncertified
+    assert all(("oracle-equivalence", label) in failed for label in uncertified)
+
+
+def test_subspace_gap_depends_on_the_spans_only():
+    rng = np.random.default_rng(5)
+    a, _ = np.linalg.qr(rng.standard_normal((16, 3)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    assert _subspace_gap(a, a @ rotation) <= 1e-12
+    assert abs(_subspace_gap(a[:, :2], a) - 1.0) <= 1e-12
+    assert _subspace_gap(np.zeros((16, 0)), np.zeros((16, 0))) == 0.0
 
 
 def test_importing_the_cli_loads_no_scipy():
