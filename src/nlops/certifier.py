@@ -157,7 +157,8 @@ def _pair_overlaps(state_set: StateSet):
         np.take(gram, column[iu] * len(u) + column[jv], out=mags[j])
     others = np.empty((n + 1, iu.size))
     others[0] = 1.0
-    np.cumprod(mags, axis=0, out=others[1:])  # others[j]: parties before j
+    for j in range(n):  # others[j]: parties before j
+        np.multiply(others[j], mags[j], out=others[j + 1])
     for j in range(n - 1, 0, -1):  # mags[j]: parties from j on, in place
         others[j - 1] *= mags[j]
         mags[j - 1] *= mags[j]

@@ -3,6 +3,11 @@
 State sets are stored as plain JSON with every amplitude written as a
 two-element [re, im] array at 17 significant digits, so a load/dump cycle is
 byte-identical and verdicts survive serialization exactly.
+
+A file in the writer's own layout is read by splitting each state line into
+its local-vector texts and decoding each distinct text once.  Any other
+layout goes through json.loads, as does every file with an error in it, so
+that both kinds of file are accepted, refused and reported alike.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ __all__ = [
 
 FORMAT_VERSION = "nlops-1"
 
+# The lines a state-set file holds before and after the dims, label and states.
+_HEAD = ["{", f'  "format_version": {json.dumps(FORMAT_VERSION)},']
+_STATES = '  "states": ['
+_TAIL = ["  ]", "}", ""]
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -45,11 +55,10 @@ def _vector_text(vec: np.ndarray, normalize: bool) -> str:
 def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
     """Serialize a state set; normalize divides each local vector by its norm."""
     lines = [
-        "{",
-        f'  "format_version": {json.dumps(FORMAT_VERSION)},',
+        *_HEAD,
         f'  "dims": {json.dumps(list(state_set.dims))},',
         f'  "label": {json.dumps(state_set.label)},',
-        '  "states": [',
+        _STATES,
     ]
     # Each distinct local vector is formatted once, even when parties share it.
     # Keys are the exact bytes, so 0.0 and -0.0 keep their own spellings.
@@ -67,9 +76,7 @@ def dumps_state_set(state_set: StateSet, normalize: bool = False) -> str:
     for idx, row in enumerate(state_set.index.tolist()):
         comma = "," if idx < last else ""
         lines.append("    [" + ", ".join(map(list.__getitem__, texts, row)) + "]" + comma)
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _TAIL)
 
 
 def dump_state_set(state_set: StateSet, path: str | os.PathLike, normalize: bool = False) -> None:
@@ -96,6 +103,77 @@ def _require(cond: bool, what: str) -> None:
 
 def loads_state_set(text: str) -> StateSet:
     """Parse and validate a serialized state set."""
+    state_set = _load_written(text)
+    return _load_json(text) if state_set is None else state_set
+
+
+# Decodes the values of files in the writer's layout; a bare -0 keeps its sign.
+_DECODER = json.JSONDecoder(parse_int=_int_keeping_negative_zero)
+
+
+def _decoded(text: str):
+    """The JSON value that text holds and nothing else; ValueError if there is none."""
+    value, end = _DECODER.scan_once(text, 0)
+    if end != len(text):
+        raise ValueError("text after the value")
+    return value
+
+
+def _field(line: str, key: str):
+    """The decoded value of a line that reads '  "key": <value>,'."""
+    prefix = f'  "{key}": '
+    if not (line.startswith(prefix) and line.endswith(",")):
+        raise ValueError(f"no {key} line")
+    return _decoded(line[len(prefix):-1])
+
+
+def _load_written(text: str) -> StateSet | None:
+    """The set in text if text has exactly the layout dumps_state_set writes,
+    else None; None too if anything in it is wrong, for the JSON path to report.
+
+    Each state line is split into its local-vector texts and each distinct
+    text is decoded once.  When every line matches the layout and each text
+    is a complete JSON value, text is a JSON document holding exactly these
+    values, so the JSON path would build the same table.
+    """
+    lines = text.split("\n")
+    if len(lines) < 8 or lines[:2] != _HEAD or lines[4] != _STATES or lines[-3:] != _TAIL:
+        return None
+    try:
+        dims, label = _field(lines[2], "dims"), _field(lines[3], "label")
+        if not (type(dims) is list and len(dims) >= 2 and type(label) is str
+                and all(type(d) is int and d >= 1 for d in dims)):
+            return None
+        states = lines[5:-3]
+        known = [{} for _ in dims]  # per party: vector text -> table row
+        rows = [{} for _ in dims]  # per party: amplitude bytes -> table row
+        decoded = {}  # vector text -> its decoded list, for every party
+        index = []
+        for s_idx, line in enumerate(states):
+            # '    [[[' + the texts joined by ']], [[' + ']]]', and a comma on all but the last
+            end = "]]]" if s_idx == len(states) - 1 else "]]],"
+            if not (line.startswith("    [[[") and line.endswith(end)):
+                return None
+            texts = line[7:-len(end)].split("]], [[")
+            if len(texts) != len(dims):
+                return None
+            row = list(map(dict.get, known, texts))
+            if None in row:  # vector texts these parties have not held yet
+                for p_idx, vec_text in enumerate(texts):
+                    if row[p_idx] is None:
+                        raw = decoded.get(vec_text)
+                        if raw is None:
+                            raw = decoded[vec_text] = _decoded("[[" + vec_text + "]]")
+                        row[p_idx] = known[p_idx][vec_text] = _row_of(
+                            rows[p_idx], _converted(raw, dims[p_idx], s_idx, p_idx))
+            index.append(row)
+        return _state_set(dims, rows, index, label)
+    except Exception:  # whatever failed, the JSON path reads text again and names it
+        return None
+
+
+def _load_json(text: str) -> StateSet:
+    """Parse and validate a state set in any JSON layout."""
     try:
         # The -0 parser runs only when needed: it doubles decode time.
         doc = json.loads(text, parse_int=_int_keeping_negative_zero
@@ -119,8 +197,7 @@ def loads_state_set(text: str) -> StateSet:
     # is the marshal bytes (format 2, which has no back-references) of its
     # decoded list: they hold each value's type and exact bits, so values that
     # decode differently (-0.0 and 0.0, true and 1, "1" and 1) get different
-    # keys.  Its table row is then keyed on the amplitudes' bytes, so that 1
-    # and 1.0 share one.  Messages are formatted only on failure.
+    # keys.  Messages are formatted only on failure.
     known: list[dict[bytes, int]] = [{} for _ in dims]  # per party: key -> table row
     rows: list[dict[bytes, int]] = [{} for _ in dims]  # per party: amplitude bytes -> row
     index = []
@@ -132,16 +209,26 @@ def loads_state_set(text: str) -> StateSet:
         if None in line:  # vectors these parties have not held yet
             fresh = [p_idx for p_idx, row in enumerate(line) if row is None]
             vecs = [_converted(raw[p_idx], dims[p_idx], s_idx, p_idx) for p_idx in fresh]
-            try:  # one finite/nonzero check per state, as ProductState makes
+            try:  # one bad-local check per state, as ProductState makes
                 _check_local_vectors(np.concatenate(vecs),
                                      [0, *accumulate(len(v) for v in vecs[:-1])])
             except ValueError as exc:
                 raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
             for p_idx, vec in zip(fresh, vecs):
-                table = rows[p_idx]
-                line[p_idx] = known[p_idx][keys[p_idx]] = table.setdefault(
-                    vec.tobytes(), len(table))
+                line[p_idx] = known[p_idx][keys[p_idx]] = _row_of(rows[p_idx], vec)
         index.append(line)
+    return _state_set(dims, rows, index, label)
+
+
+def _row_of(rows: dict[bytes, int], vec: np.ndarray) -> int:
+    """The table row of a converted local vector, keyed on its amplitudes' bytes
+    (so that 1 and 1.0 share one); a vector not seen before gets the next row."""
+    return rows.setdefault(vec.tobytes(), len(rows))
+
+
+def _state_set(dims: list[int], rows: list[dict[bytes, int]], index: list[list[int]],
+               label: str) -> StateSet:
+    """The set whose party j table holds the vectors keyed in rows[j], in row order."""
     vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
                for table, d in zip(rows, dims)]
     try:

@@ -30,6 +30,9 @@ __all__ = [
     "MAX_LOCAL_DIM",
 ]
 
+# Smallest normal float: a local vector's squared norm may not fall below it.
+_TINY = float(np.finfo(float).tiny)
+
 # Largest local dimension with a Hermitian basis: 16 * d^4 bytes, 268 MB at 64.
 MAX_LOCAL_DIM = 64
 
@@ -41,12 +44,20 @@ def _check_local_dim(d: int) -> None:
 
 
 def _check_local_vectors(flat: np.ndarray, starts) -> None:
-    """Raise bad-local unless every amplitude is finite and every local vector,
-    the run of flat from one entry of starts to the next, has a nonzero one."""
+    """Raise bad-local unless every local vector, the run of flat from one entry
+    of starts to the next, has finite amplitudes, a nonzero one, and a squared
+    norm that is a finite normal float, so that it can be normalized without
+    overflow or underflow."""
+    with np.errstate(over="ignore", under="ignore"):
+        squared = np.add.reduceat(np.square(np.abs(flat)), starts)
+    if ((squared >= _TINY) & (squared < np.inf)).all():  # NaN fails both
+        return
     if not np.isfinite(flat).all():
         raise ValueError("bad-local: amplitudes must be finite")
     if not np.logical_or.reduceat(flat != 0, starts).all():
         raise ValueError("bad-local: a local vector needs at least one nonzero amplitude")
+    raise ValueError("bad-local: a local vector's squared norm must be a finite "
+                     f"float of at least {_TINY}")
 
 
 @dataclass(frozen=True, eq=False)

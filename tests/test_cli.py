@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from itertools import groupby
 
@@ -151,6 +152,28 @@ def test_certify_too_large_local_dimension_exits_2_with_one_line_error(tmp_path,
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: too-large: local dimension 65")
+
+
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
+def test_certify_refuses_a_norm_out_of_float_range_with_one_line_error(tmp_path, capsys,
+                                                                       amplitude):
+    # States 0 and 2 are equal; a norm that overflows or underflows once
+    # hid that behind a passing orthogonality check or a failed SVD.
+    big = f"[[{amplitude}, 0], [0, 0]]"
+    states = [f"    [{big}, [[1, 0], [0, 0]], [[1, 0], [0, 0]]],",
+              f"    [{big}, [[0, 0], [1, 0]], [[1, 0], [0, 0]]],",
+              f"    [{big}, [[1, 0], [0, 0]], [[1, 0], [0, 0]]]"]
+    bad = tmp_path / "range.json"
+    bad.write_text('{\n  "format_version": "nlops-1",\n  "dims": [2, 2, 2],\n'
+                   '  "label": "",\n  "states": [\n' + "\n".join(states) + "\n  ]\n}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", str(bad)]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: malformed-file: state 0: bad-local: ")
 
 
 def test_certify_missing_file_exits_2(tmp_path):

@@ -16,7 +16,7 @@ from nlops import (
     theorem2_set,
     theorem4_set,
 )
-from nlops.serialize import certificate_to_dict
+from nlops.serialize import _load_json, _load_written, certificate_to_dict
 
 from sweeps import sweep_sets
 
@@ -191,6 +191,10 @@ def test_dump_keeps_both_spellings_of_zero():
     ]
 
 
+_NORM_RANGE = ("a local vector's squared norm must be a finite float "
+               "of at least 2.2250738585072014e-308")
+
+
 def _state_line(vectors):
     return "[" + ", ".join(vectors) + "]"
 
@@ -198,6 +202,8 @@ def _state_line(vectors):
 @pytest.mark.parametrize("bad, error", [
     ("[[0, 0], [0, 0]]", "state 3: bad-local: a local vector needs at least one nonzero amplitude"),
     ("[[1, 0], [Infinity, 0]]", "state 3: bad-local: amplitudes must be finite"),
+    ("[[1e200, 0], [0, 0]]", f"state 3: bad-local: {_NORM_RANGE}"),
+    ("[[1e-200, 0], [0, 0]]", f"state 3: bad-local: {_NORM_RANGE}"),
     ('[[1, 0], ["x", 0]]', "state 3 party 1: amplitudes must be [re, im] numbers"),
     ("[[1, 0]]", "state 3 party 1 must have 2 amplitudes"),
 ])
@@ -254,3 +260,51 @@ def test_table_and_file_give_back_the_states(data):
     built = StateSet(base.dims, states)
     _assert_table_gives_back(built, states)
     _assert_table_gives_back(loads_state_set(dumps_state_set(built)), states)
+
+
+def _table(state_set):
+    """Everything a set is made of: dims, label, index and table rows, as bytes."""
+    return (state_set.dims, state_set.label, state_set.index.shape, state_set.index.tobytes(),
+            tuple((v.shape, v.tobytes()) for v in state_set.vectors))
+
+
+def _awkward_label_set():
+    base = theorem2_set(3, 2)
+    return StateSet(base.dims, base.states,
+                    label='a "quote", a \\ backslash,\na newline and été ✓')
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_written_layout_path_builds_the_json_path_table(normalize):
+    empty = StateSet((2, 3), ())
+    for state_set in (*sweep_sets(), _signed_zero_set(), empty, _awkward_label_set()):
+        text = dumps_state_set(state_set, normalize=normalize)
+        fast = _load_written(text)
+        assert fast is not None, state_set.label
+        assert _table(fast) == _table(_load_json(text)), state_set.label
+
+
+def _outcome(load, text):
+    try:
+        return _table(load(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("state_set", [_signed_zero_set(), _awkward_label_set()],
+                         ids=["signed-zeros", "awkward-label"])
+def test_every_one_byte_change_loads_as_the_json_path_loads_it(state_set):
+    text = dumps_state_set(state_set)
+    mutants = [text[:i] + text[i + 1:] for i in range(len(text))]
+    mutants += [text[:i] + " " + text[i:] for i in range(len(text) + 1)]
+    mutants += [text[:i] + "x" + text[i + 1:] for i in range(len(text))]
+    # ... and every state line with one more local vector at its end
+    mutants += [text[:i] + "]], [[1, 0], [0, 0" + text[i:]
+                for i in range(len(text)) if text.startswith("]]]", i)]
+    accepted = 0
+    for mutant in mutants:
+        want = _outcome(_load_json, mutant)
+        assert _outcome(loads_state_set, mutant) == want, repr(mutant)
+        accepted += not isinstance(want, str)
+    # Both outcomes occur: some changes keep a valid file, most break it.
+    assert 0 < accepted < len(mutants)

@@ -174,6 +174,8 @@ _BOTH = np.array([[1.0, 0.0], [0.0, 1.0]])
     ((_ONE, np.ones((1, 3))), [[0, 0]], "dim-mismatch: party 1 table has shape"),
     ((_ONE, np.zeros((1, 2))), [[0, 0]], "bad-local: a local vector needs"),
     ((_ONE, np.array([[np.nan, 1.0]])), [[0, 0]], "bad-local: amplitudes must be finite"),
+    ((_ONE, np.array([[1e200, 0.0]])), [[0, 0]], "bad-local: a local vector's squared norm"),
+    ((_ONE, np.array([[1e-200, 0.0]])), [[0, 0]], "bad-local: a local vector's squared norm"),
     ((_ONE, _BOTH), [[0, 2]], "bad-table: party 1 index out of range"),
     ((_ONE, _BOTH), [[0, -1]], "bad-table: party 1 index out of range"),
     ((_ONE, _BOTH), [[0, 1]], "bad-table: party 1 table holds a vector no state uses"),

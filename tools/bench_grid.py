@@ -10,10 +10,14 @@ used CASE_BUDGET_S seconds),
 ``nlops selftest`` end to end in-process (best of REPEAT),
 and the time spent inside ``nullspace_real`` and ``brute_force_constraints``
 during one more selftest.  Both functions call no other nlops function that
-does real work, so that time is their self time.  Every certificate's verdict
-and per-party ``(solution_dim, trivial, active_pairs)`` go into the record,
-so two records can be checked for equal results.  BLAS runs on one thread,
-as in perfbench, set before numpy is imported.
+does real work, so that time is their self time.  It also times
+``loads_state_set`` (best of LOAD_REPEAT) on three files per grid case: the
+set as ``dump_state_set`` writes it, the same document re-encoded compactly
+by ``json.dumps``, and the set with every local vector of every state
+rescaled by its own complex scalar, so that no vector repeats.  Every
+certificate's verdict and per-party ``(solution_dim, trivial, active_pairs)``
+go into the record, so two records can be checked for equal results.  BLAS
+runs on one thread, as in perfbench, set before numpy is imported.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 
 GRID = [(6, 6), (40, 4), (8, 16), (20, 16), (4, 32)]
 REPEAT = 3
+LOAD_REPEAT = 15
 CASE_BUDGET_S = 120.0
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -43,6 +48,34 @@ def _timed(func, totals, key):
         finally:
             totals[key] += time.perf_counter() - start
     return wrapper
+
+
+def _best_load_s(loads, text):
+    times = []
+    for _ in range(LOAD_REPEAT):
+        start = time.perf_counter()
+        loads(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _load_record(case, state_set):
+    """Load times of the written, compact and rescaled files of one set."""
+    import numpy as np
+    from nlops import ProductState, StateSet, dumps_state_set, loads_state_set
+
+    rng = np.random.default_rng(len(state_set))
+    rescaled = StateSet(state_set.dims, tuple(
+        ProductState(tuple(f * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+                           for f in s.factors))
+        for s in state_set.states))
+    written = dumps_state_set(state_set)
+    files = {"written": written, "compact": json.dumps(json.loads(written)),
+             "rescaled": dumps_state_set(rescaled)}
+    return {"case": case, "bytes": len(written),
+            **{f"{name}_s": _best_load_s(loads_state_set, text) for name, text in files.items()},
+            "roundtrip": all(dumps_state_set(loads_state_set(files[name])) == files[name]
+                             for name in ("written", "rescaled"))}
 
 
 def main() -> int:
@@ -67,6 +100,7 @@ def main() -> int:
         "blas_threads": 1,
         "cpus": os.cpu_count(),
         "certify": [],
+        "load": [],
     }
     for n, d in GRID:
         state_set = theorem1_set(n, d)
@@ -81,6 +115,7 @@ def main() -> int:
             "runs": len(times), "verdict": cert.verdict,
             "parties": [[p.solution_dim, p.trivial, p.active_pairs] for p in cert.parties],
         })
+        record["load"].append(_load_record(f"theorem1_set({n}, {d})", state_set))
 
     def selftest():
         with contextlib.redirect_stdout(io.StringIO()) as out:
