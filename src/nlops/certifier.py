@@ -53,9 +53,14 @@ MAX_BRUTE_FORCE_DIM = 4096
 # generation checks too: the real table and its build rows take 16 bytes per
 # entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
 # pair indices, the gathered codes and the dense m x m residuals come on top,
-# so the orthogonality check peaks at about 27 bytes per entry (2000 copies of
-# one (2, 2) state: 4M entries, max RSS +108 MB).  The same bound caps the
-# m(m-1)/2 * d^2 entries of each per-pair oracle array.
+# so when no pair drops the orthogonality check peaks at about 27 bytes per
+# entry (2000 copies of one (2, 2) state: 4M entries, max RSS +108 MB).  Pairs
+# exactly orthogonal on two parties are left out of the table; finding them
+# takes boolean m x m masks, half the residuals' size and freed before them,
+# so the residuals are most of what is left: product_basis((64, 64)) peaks at
+# 8.5 bytes per entry (16.8M entries, +143 MB), product_basis((2,) * 11) at
+# 1.6 (23.1M, +37 MB).
+# The same bound caps the m(m-1)/2 * d^2 entries of each per-pair oracle array.
 MAX_OVERLAP_ENTRIES = 2**26
 
 # A one-dimensional solution space counts as trivial only if its basis vector
@@ -138,23 +143,25 @@ def _check_pair_count(m: int, n: int) -> None:
 def _pair_overlaps(state_set: StateSet):
     """One read-only table per state set: what each pair's overlaps decide.
 
-    Returns (iu, jv, units, others): the pairs a < b, each party's table of
-    distinct local vectors normalized, and for pair p = (iu[p], jv[p]) the
-    products of the normalized magnitudes |<u_a|u_b>|, others[j, p] over
-    every party except j and others[n, p] over all n parties (the pair's
-    orthogonality residual).  Each party's magnitudes come from one Gram
-    product of its k distinct vectors, gathered for every pair by index.
+    Returns (iu, jv, units, others): the kept pairs a < b in ascending order,
+    each party's table of distinct local vectors normalized, and for pair
+    p = (iu[p], jv[p]) the products of the normalized magnitudes |<u_a|u_b>|,
+    others[j, p] over every party except j and others[n, p] over all n
+    parties (the pair's orthogonality residual).  Each party's magnitudes
+    come from one Gram product of its k distinct vectors, gathered for every
+    pair by index.  A pair exactly orthogonal on two or more parties has an
+    exact 0.0 factor in every product, all of them +0.0, so it is left out:
+    it neither constrains any party nor adds to the residual.
     Cached for the last set: its orthogonality check and every party's assembly.
     """
     m, n = len(state_set), state_set.n_parties
     _check_pair_count(m, n)
-    iu, jv = np.triu_indices(m, 1)
     units = tuple(v / np.linalg.norm(v, axis=1)[:, None] for v in state_set.vectors)
+    iu, jv = _kept_pairs(state_set.index, units)
     mags = np.empty((n, iu.size))
     for j, u in enumerate(units):
         column = state_set.index[:, j]
-        gram = np.abs(u.conj() @ u.T).ravel()
-        np.take(gram, column[iu] * len(u) + column[jv], out=mags[j])
+        np.take(_gram(u), column[iu] * len(u) + column[jv], out=mags[j])
     others = np.empty((n + 1, iu.size))
     others[0] = 1.0
     for j in range(n):  # others[j]: parties before j
@@ -165,6 +172,35 @@ def _pair_overlaps(state_set: StateSet):
     for a in (iu, jv, others, *units):
         a.flags.writeable = False
     return iu, jv, units, others
+
+
+def _gram(u: np.ndarray) -> np.ndarray:
+    """|<u_p|u_q>| of a party's k normalized vectors, flat at p * k + q."""
+    return np.abs(u.conj() @ u.T).ravel()
+
+
+def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b, ascending, that are exactly orthogonal on at most one party.
+
+    Each party's exact Gram zeros are expanded through its index column to
+    the m x m mask of the state pairs they hit.  The full np.triu_indices(m, 1)
+    is built only when no party has a zero, as then every pair is kept.
+    """
+    once = twice = None  # [a, b]: a and b exactly orthogonal on at least one, two parties
+    for j, u in enumerate(units):
+        zero = _gram(u).reshape(len(u), len(u)) == 0
+        if zero.any():
+            column = index[:, j]
+            hit = zero[:, column][column]  # rows gathered last: C-contiguous, fast to or
+            if once is None:
+                once, twice = hit, np.zeros_like(hit)
+            else:
+                twice |= once & hit
+                once |= hit
+    if once is None:
+        return np.triu_indices(len(index), 1)
+    del once
+    return np.nonzero(np.triu(~twice, 1))
 
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:

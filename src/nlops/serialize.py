@@ -229,9 +229,9 @@ def _row_of(rows: dict[bytes, int], vec: np.ndarray) -> int:
 def _state_set(dims: list[int], rows: list[dict[bytes, int]], index: list[list[int]],
                label: str) -> StateSet:
     """The set whose party j table holds the vectors keyed in rows[j], in row order."""
-    vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
-               for table, d in zip(rows, dims)]
-    try:
+    try:  # a d too large for numpy fails already in the reshape
+        vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
+                   for table, d in zip(rows, dims)]
         return StateSet.from_table(tuple(dims), vectors,
                                    np.array(index, dtype=np.intp).reshape(-1, len(dims)),
                                    label=label)

@@ -1,5 +1,6 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -521,3 +522,58 @@ def test_overlap_table_is_not_shared_between_sets():
         (p.active_pairs, p.solution_dim, p.trivial) for p in first.parties]
     iu, jv, units, g = certifier._pair_overlaps(s)
     assert not any(a.flags.writeable for a in (iu, jv, g, *units))
+
+
+def _rescaled(s, seed=7):
+    """s with every local vector of every state times its own complex scalar."""
+    rng = np.random.default_rng(seed)
+    return StateSet(s.dims, tuple(
+        ProductState(tuple(f * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+                           for f in state.factors))
+        for state in s.states), label="rescaled " + s.label)
+
+
+@pytest.mark.parametrize(
+    "state_set",
+    [*sweep_sets(), product_basis((2, 2, 2)), product_basis((3, 2, 2)),
+     _with_duplicate(theorem2_set(3, 2)), _rescaled(theorem1_set(4, 3))],
+    ids=lambda s: s.label,
+)
+def test_table_keeps_exactly_the_pairs_orthogonal_on_at_most_one_party(state_set):
+    iu, jv, units, others = certifier._pair_overlaps(state_set)
+    m, n = len(state_set), state_set.n_parties
+    kept = iu * m + jv
+    assert (iu < jv).all() and (np.diff(kept) > 0).all()
+    # exactly-zero local overlaps per pair, one scalar vdot at a time
+    vecs = [[u[i] for i in state_set.index[:, j]] for j, u in enumerate(units)]
+    zeros = {(a, b): sum(np.vdot(v[a], v[b]) == 0 for v in vecs)
+             for a in range(m) for b in range(a + 1, m)}
+    kept_set = set(zip(iu.tolist(), jv.tolist()))
+    assert all((zeros[pair] <= 1) == (pair in kept_set) for pair in zeros)
+    # others over every pair, by a dense prefix x suffix product, restricted to the kept ones
+    all_iu, all_jv = np.triu_indices(m, 1)
+    mags = [np.abs(u.conj() @ u.T)[state_set.index[all_iu, j], state_set.index[all_jv, j]]
+            for j, u in enumerate(units)]
+    prefix, suffix = [np.ones(all_iu.size)], [np.ones(all_iu.size)]
+    for j in range(n):
+        prefix.append(prefix[-1] * mags[j])
+        suffix.insert(0, mags[n - 1 - j] * suffix[0])
+    dense = np.stack([prefix[j] * suffix[j + 1] for j in range(n)] + [prefix[n]])
+    restricted = dense[:, np.searchsorted(all_iu * m + all_jv, kept)]
+    assert restricted.tobytes() == others.tobytes()
+
+
+@pytest.mark.parametrize("state_set, limit_mib", [
+    (theorem1_set(40, 4), 4),  # a table over all pairs peaks at about 18 MiB
+    (product_basis((2,) * 9), 6),  # and here at about 21 MiB
+], ids=["theorem1_set(40, 4)", "product_basis((2,) * 9)"])
+def test_cold_orthogonality_check_allocates_little_for_exactly_orthogonal_pairs(
+        state_set, limit_mib):
+    certifier._pair_overlaps.cache_clear()
+    tracemalloc.start()
+    try:
+        check_pairwise_orthogonality(state_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20

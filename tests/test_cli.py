@@ -142,6 +142,22 @@ def test_certify_huge_integer_amplitude_exits_2_with_one_line_error(tmp_path, ca
     assert captured.err.startswith("error: malformed-file")
 
 
+@pytest.mark.parametrize("layout", ["compact", "written"])
+def test_certify_oversized_dims_entry_exits_2_with_one_line_error(tmp_path, capsys, layout):
+    doc = {"format_version": "nlops-1", "dims": [2, 10**23], "label": "", "states": []}
+    text = json.dumps(doc)
+    if layout == "written":  # the layout dump_state_set writes, read line by line
+        text = "\n".join(["{", *(f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in
+                                  list(doc.items())[:3]), '  "states": [', "  ]", "}", ""])
+    bad = tmp_path / "oversized.json"
+    bad.write_text(text)
+    assert main(["certify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: malformed-file")
+
+
 def test_certify_too_large_local_dimension_exits_2_with_one_line_error(tmp_path, capsys):
     big = tmp_path / "big.json"
     dump_state_set(StateSet((65, 2, 2), tuple(

@@ -99,6 +99,10 @@ def test_normalized_export_has_unit_locals_and_same_verdict():
         pytest.param("[" * 100000 + "]" * 100000, id="nesting-past-the-recursion-limit"),
         # boolean dimension
         '{"format_version": "nlops-1", "dims": [true, 2], "label": "", "states": []}',
+        # a dimension too large for numpy, in a compact file and in the writer's layout
+        '{"format_version": "nlops-1", "dims": [2, 100000000000000000000000], "label": "", "states": []}',
+        '{\n  "format_version": "nlops-1",\n  "dims": [2, 100000000000000000000000],\n'
+        '  "label": "",\n  "states": [\n  ]\n}\n',
         # a later state repeats a valid vector, spelled with a boolean or a string
         '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]], [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
         '{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]}',

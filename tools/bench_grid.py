@@ -14,10 +14,14 @@ does real work, so that time is their self time.  It also times
 ``loads_state_set`` (best of LOAD_REPEAT) on three files per grid case: the
 set as ``dump_state_set`` writes it, the same document re-encoded compactly
 by ``json.dumps``, and the set with every local vector of every state
-rescaled by its own complex scalar, so that no vector repeats.  Every
-certificate's verdict and per-party ``(solution_dim, trivial, active_pairs)``
-go into the record, so two records can be checked for equal results.  BLAS
-runs on one thread, as in perfbench, set before numpy is imported.
+rescaled by its own complex scalar, so that no vector repeats.  For each
+grid case and each set of ADVERSARIAL it times a cold
+``check_pairwise_orthogonality`` (best of REPEAT, the cached pair-overlap
+table cleared first) and records its tracemalloc peak and the share of pairs
+left out of the table.  Every certificate's verdict and per-party
+``(solution_dim, trivial, active_pairs)`` go into the record, so two records
+can be checked for equal results.  BLAS runs on one thread, as in perfbench,
+set before numpy is imported.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ REPEAT = 3
 LOAD_REPEAT = 15
 CASE_BUDGET_S = 120.0
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Sets whose orthogonality check is large for their size, as nlops expressions.
+ADVERSARIAL = [
+    "product_basis((64, 64))",
+    "product_basis((2,) * 11)",
+    "StateSet((2, 2), (ProductState((basis_vector(2, 0), basis_vector(2, 1))),) * 2000)",
+]
 
 
 def _timed(func, totals, key):
@@ -78,6 +88,34 @@ def _load_record(case, state_set):
                              for name in ("written", "rescaled"))}
 
 
+def _pairs_record(case, state_set):
+    """Cold orthogonality check of one set: best time, tracemalloc peak, pairs left out."""
+    import tracemalloc
+    from nlops import certifier
+
+    def cold():
+        certifier._pair_overlaps.cache_clear()
+        report = certifier.check_pairwise_orthogonality(state_set)
+        return report.passed, report.max_residual
+
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        passed, max_residual = cold()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        cold()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = len(state_set) * (len(state_set) - 1) // 2
+    kept = certifier._pair_overlaps(state_set)[0].size
+    return {"case": case, "m": len(state_set), "pairs": pairs, "best_s": min(times),
+            "peak_mib": peak / 2**20, "dropped_share": 1 - kept / pairs if pairs else 0.0,
+            "passed": passed, "max_residual": max_residual}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -87,6 +125,7 @@ def main() -> int:
     sys.path.insert(0, args.src)
 
     import numpy as np
+    import nlops
     from nlops import certifier, cli, theorem1_set
 
     commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.src,
@@ -101,6 +140,7 @@ def main() -> int:
         "cpus": os.cpu_count(),
         "certify": [],
         "load": [],
+        "pairs": [],
     }
     for n, d in GRID:
         state_set = theorem1_set(n, d)
@@ -116,6 +156,10 @@ def main() -> int:
             "parties": [[p.solution_dim, p.trivial, p.active_pairs] for p in cert.parties],
         })
         record["load"].append(_load_record(f"theorem1_set({n}, {d})", state_set))
+        record["pairs"].append(_pairs_record(f"theorem1_set({n}, {d})", state_set))
+    for case in ADVERSARIAL:
+        record["pairs"].append(_pairs_record(case, eval(case, vars(nlops))))
+    certifier._pair_overlaps.cache_clear()
 
     def selftest():
         with contextlib.redirect_stdout(io.StringIO()) as out:
