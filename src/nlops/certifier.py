@@ -18,7 +18,7 @@ filtering, and serves as the independent cross-check of the factorized path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod
 
@@ -27,6 +27,7 @@ import numpy as np
 from .tensor_core import (
     HermitianCoords,
     StateSet,
+    _check_local_dim,
     check_tolerance,
     hermitian_basis_flat,
     nullspace_real,
@@ -213,6 +214,15 @@ def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> Ort
     return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
 
 
+def _active_codes(state_set: StateSet, party: int, tol_active: float):
+    """Table rows (ia, jb) the party's local vectors take in each pair a < b
+    whose normalized overlap product over the other parties exceeds tol_active."""
+    iu, jv, _, others = _pair_overlaps(state_set)
+    active = others[party] > tol_active
+    column = state_set.index[:, party]
+    return column[iu[active]], column[jv[active]]
+
+
 def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e-10) -> np.ndarray:
     """Real constraint matrix on the party's Hermitian coordinates.
 
@@ -225,10 +235,8 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
-    iu, jv, units, others = _pair_overlaps(state_set)
-    active = others[party] > tol_active
-    column, u = state_set.index[:, party], units[party]
-    ia, jb = column[iu[active]], column[jv[active]]
+    ia, jb = _active_codes(state_set, party, tol_active)
+    u = _pair_overlaps(state_set)[2][party]  # the party's normalized table
     # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
     w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
     values = w @ basis.T
@@ -262,12 +270,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
                          f"{MAX_OVERLAP_ENTRIES} pair-overlap entries")
     if m < 2:
         return np.zeros((0, d * d))
-    # Row a is state a's full vector, built party by party as reduce(np.kron, factors).
-    full = np.stack([s.factors[0] for s in state_set])
-    for j in range(1, state_set.n_parties):
-        local = np.stack([s.factors[j] for s in state_set])
-        full = (full[:, :, None] * local[:, None, :]).reshape(m, -1)
-    norms = np.linalg.norm(full, axis=1)
+    full, norms = _full_vectors(state_set)
     psi = np.moveaxis(full.reshape((m,) + state_set.dims), party + 1, 1).reshape(m * d, -1)
     # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
     c = (psi.conj() @ psi.T).reshape(m, d, m, d)
@@ -279,6 +282,24 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     rows[0::2] = values.real
     rows[1::2] = values.imag
     return rows
+
+
+@lru_cache(maxsize=1)
+def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's full vector, one per row, and its norm, both read-only.
+
+    Row a is built party by party as reduce(np.kron, factors) of state a.
+    Cached for the last set, whose oracle runs once per party.
+    """
+    m = len(state_set)
+    full = np.stack([s.factors[0] for s in state_set])
+    for j in range(1, state_set.n_parties):
+        local = np.stack([s.factors[j] for s in state_set])
+        full = (full[:, :, None] * local[:, None, :]).reshape(m, -1)
+    norms = np.linalg.norm(full, axis=1)
+    for a in (full, norms):
+        a.flags.writeable = False
+    return full, norms
 
 
 def solution_space(
@@ -323,19 +344,29 @@ def certify_nonlocal(state_set: StateSet, tolerances: Tolerances | None = None) 
 
     The set is certified nonlocal iff it is pairwise orthogonal and every
     party's space of admissible operators is the span of the identity.
-    Failures are encoded in the certificate, never raised.
+    Failures are encoded in the certificate, never raised.  Parties whose
+    tables of local vectors are byte-equal, shape included, and whose active
+    pairs hold the same table rows get byte-identical constraint rows, so
+    the first of them is solved and the others take its report.
     """
     tol = tolerances if tolerances is not None else Tolerances()
+    _check_local_dim(max(state_set.dims))
     orth = check_pairwise_orthogonality(state_set, tol.tol_orth)
-    parties = tuple(
-        _party_report(state_set, k, tol) for k in range(state_set.n_parties)
-    )
+    solved: dict[tuple, PartyReport] = {}
+    parties = []
+    for k, table in enumerate(state_set.vectors):
+        ia, jb = _active_codes(state_set, k, tol.tol_active)
+        key = (table.shape, table.tobytes(), (ia * len(table) + jb).tobytes())
+        rep = solved.get(key)
+        if rep is None:
+            rep = solved[key] = _party_report(state_set, k, tol)
+        parties.append(rep if rep.party == k else replace(rep, party=k))
     certified = bool(orth.passed and all(p.trivial for p in parties))
     return Certificate(
         dims=state_set.dims,
         label=state_set.label,
         tolerances=tol,
         orthogonality=orth,
-        parties=parties,
+        parties=tuple(parties),
         certified_nonlocal=certified,
     )

@@ -1,5 +1,8 @@
 """Tests for constraint assembly, solution spaces, and certificates."""
 
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 from functools import lru_cache, reduce
 
@@ -33,6 +36,7 @@ from nlops import (
     theorem4_set,
 )
 from nlops import certifier
+from nlops.cli import _generate_set, _sweep_sets
 
 
 def _constraint_rows(u, v):
@@ -247,8 +251,20 @@ def test_brute_force_does_not_use_the_fast_path(monkeypatch):
 
     monkeypatch.setattr(certifier, "_pair_overlaps", refuse)
     monkeypatch.setattr(StateSet, "party_vectors", refuse)
+    certifier._full_vectors.cache_clear()  # the patched calls build the full vectors again
     for k, rows in enumerate(want):
         assert_array_equal(brute_force_constraints(state_set, k), rows)
+
+
+def test_brute_force_builds_each_sets_full_vectors_once():
+    certifier._full_vectors.cache_clear()
+    state_set = theorem4_set((2, 3, 4))
+    for k in range(state_set.n_parties):
+        brute_force_constraints(state_set, k)
+    assert certifier._full_vectors.cache_info().misses == 1
+    full, norms = certifier._full_vectors(state_set)
+    assert full.shape == (len(state_set), 24) and norms.shape == (len(state_set),)
+    assert not full.flags.writeable and not norms.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -577,3 +593,127 @@ def test_cold_orthogonality_check_allocates_little_for_exactly_orthogonal_pairs(
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+# ---------------------------------------------------------------------------
+# parties that pose the same system share one solve
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls the certifier makes to each named function of its module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(certifier, name), **kwargs):
+            counts[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(certifier, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [20, 3])
+def test_homogeneous_family_solves_three_distinct_parties(monkeypatch, n):
+    # Parties 2..n-1 of theorem 1 pose one system; parties 0 and 1 each their own.
+    counts = _count_calls(monkeypatch, "assemble_constraints", "nullspace_real")
+    cert = certify_nonlocal(theorem1_set(n, 4))
+    assert counts == {"assemble_constraints": 3, "nullspace_real": 3}
+    assert [rep.party for rep in cert.parties] == list(range(n))
+    assert cert.verdict == "CERTIFIED_NONLOCAL"
+
+
+def _assert_reports_equal_own_solves(state_set):
+    """Every PartyReport of the certificate is, to the byte, the party's own solve."""
+    tol = Tolerances()
+    for k, got in enumerate(certify_nonlocal(state_set, tol).parties):
+        want = certifier._party_report(state_set, k, tol)
+        assert got.party == want.party == k
+        assert ((got.active_pairs, got.solution_dim, got.trivial)
+                == (want.active_pairs, want.solution_dim, want.trivial))
+        assert got.solution.shape == want.solution.shape
+        assert got.solution.tobytes() == want.solution.tobytes()
+        assert (got.witness is None) == (want.witness is None)
+        if want.witness is not None:
+            assert got.witness.dim == want.witness.dim
+            assert got.witness.coords.tobytes() == want.witness.coords.tobytes()
+
+
+def _perfbench_sets():
+    """The set of every case the benchmark in perfbench/workloads.py can send."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    cases = workloads.all_cases()
+    assert {c.kind for c in cases} == {"generate", "control", "selftest"}
+    return ([_generate_set(c.theorem, c.dims) for c in cases if c.kind == "generate"]
+            + [product_basis(c.dims) for c in cases if c.kind == "control"])
+
+
+_SHARING_GROUPS = {
+    "test-sweep": sweep_sets,
+    "selftest-sweep": lambda: [s for s, _ in _sweep_sets()],
+    "perfbench": _perfbench_sets,
+    "controls": lambda: [product_basis((2, 2)), product_basis((2, 2, 2)),
+                         product_basis((3, 2, 2)), _rescaled(theorem1_set(40, 4)),
+                         _rescaled(theorem2_set(5, 3))],
+}
+
+
+@pytest.mark.parametrize("group", list(_SHARING_GROUPS))
+def test_every_shared_report_is_the_partys_own_solve(group):
+    for state_set in _SHARING_GROUPS[group]():
+        _assert_reports_equal_own_solves(state_set)
+
+
+def test_equal_tables_with_different_active_pairs_are_solved_apart(monkeypatch):
+    # Every party's table is (|0>, |1>); only party 0 has an active pair, (0, 1).
+    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+    s = StateSet((2, 2, 2), [ProductState(f) for f in
+                             [(e0, e0, e0), (e1, e0, e0), (e0, e1, e1)]])
+    assert s.vectors[0].tobytes() == s.vectors[1].tobytes() == s.vectors[2].tobytes()
+    counts = _count_calls(monkeypatch, "assemble_constraints")
+    assert [rep.active_pairs for rep in certify_nonlocal(s).parties] == [1, 0, 0]
+    assert counts == {"assemble_constraints": 2}
+    _assert_reports_equal_own_solves(s)
+
+
+def test_different_tables_with_equal_active_rows_are_solved_apart(monkeypatch):
+    # Party 0's table is (|0>, |1>) and party 1's (|+>, |->); each party's one
+    # active pair holds its table rows 0 and 1, so only the vectors differ.
+    # Party 2 poses party 0's system.
+    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+    plus, minus = (e0 + e1) / np.sqrt(2), (e0 - e1) / np.sqrt(2)
+    s = StateSet((2, 2, 2), [ProductState(f) for f in [
+        (e0, plus, e0), (e1, plus, e0), (e0, plus, e1), (e0, minus, e1)]])
+    counts = _count_calls(monkeypatch, "assemble_constraints")
+    assert [rep.active_pairs for rep in certify_nonlocal(s).parties] == [1, 1, 1]
+    assert counts == {"assemble_constraints": 2}
+    _assert_reports_equal_own_solves(s)
+
+
+def test_equal_table_bytes_in_different_shapes_are_solved_apart(monkeypatch):
+    # Party 0's (2, 4) table and party 1's (4, 2) table hold the same eight
+    # amplitudes, and each party's one active pair holds its table rows 0 and 1.
+    flat = np.array([1, 0, 0, 1, 1, 1, 1, -1], dtype=complex)
+    index = [[0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 1], [0, 2, 2], [1, 3, 3]]
+    s = StateSet.from_table((4, 2, 4), [flat.reshape(2, 4), flat.reshape(4, 2), np.eye(4)],
+                            index)
+    assert s.vectors[0].tobytes() == s.vectors[1].tobytes()
+    for k in (0, 1):
+        ia, jb = certifier._active_codes(s, k, Tolerances().tol_active)
+        assert (ia.tolist(), (ia * len(s.vectors[k]) + jb).tolist()) == ([0], [1])
+    counts = _count_calls(monkeypatch, "assemble_constraints")
+    assert [rep.solution_dim for rep in certify_nonlocal(s).parties][:2] == [14, 2]
+    assert counts == {"assemble_constraints": 3}
+    _assert_reports_equal_own_solves(s)
+
+
+def test_certify_refuses_a_too_large_local_dimension_before_the_pair_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair table must not be built for a refused set")
+
+    monkeypatch.setattr(certifier, "_pair_overlaps", refuse)
+    big = StateSet((2, 65), tuple(
+        ProductState((basis_vector(2, 0), basis_vector(65, j))) for j in range(3)))
+    with pytest.raises(ValueError, match="too-large: local dimension 65 exceeds 64"):
+        certify_nonlocal(big)

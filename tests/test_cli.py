@@ -170,6 +170,21 @@ def test_certify_too_large_local_dimension_exits_2_with_one_line_error(tmp_path,
     assert captured.err.startswith("error: too-large: local dimension 65")
 
 
+def test_certify_refuses_a_too_large_local_dimension_before_the_pair_table(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair table must not be built for a refused set")
+
+    big = tmp_path / "big.json"
+    dump_state_set(StateSet((2, 65), tuple(
+        ProductState((basis_vector(2, 0), basis_vector(65, j))) for j in range(3))), big)
+    monkeypatch.setattr(certifier, "_pair_overlaps", refuse)
+    assert main(["certify", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: too-large: local dimension 65 exceeds 64\n"
+
+
 @pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
 def test_certify_refuses_a_norm_out_of_float_range_with_one_line_error(tmp_path, capsys,
                                                                        amplitude):

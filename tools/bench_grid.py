@@ -3,7 +3,9 @@
     python3 tools/bench_grid.py                      # the checkout this file is in
     python3 tools/bench_grid.py --src OTHER/src      # another checkout's source
 
-It times ``certify_nonlocal`` on the ``theorem1_set`` grid (best of
+It times ``certify_nonlocal`` on the ``theorem1_set`` grid and on each
+grid set with every local vector of every state rescaled by its own complex
+scalar, so that no vector repeats and no two parties share a solve (best of
 REPEAT runs, each with the cached pair-overlap table cleared first, so every
 run builds it as a first certificate does; a case stops repeating once it has
 used CASE_BUDGET_S seconds),
@@ -13,8 +15,7 @@ during one more selftest.  Both functions call no other nlops function that
 does real work, so that time is their self time.  It also times
 ``loads_state_set`` (best of LOAD_REPEAT) on three files per grid case: the
 set as ``dump_state_set`` writes it, the same document re-encoded compactly
-by ``json.dumps``, and the set with every local vector of every state
-rescaled by its own complex scalar, so that no vector repeats.  For each
+by ``json.dumps``, and the rescaled set.  For each
 grid case and each set of ADVERSARIAL it times a cold
 ``check_pairwise_orthogonality`` (best of REPEAT, the cached pair-overlap
 table cleared first) and records its tracemalloc peak and the share of pairs
@@ -69,16 +70,37 @@ def _best_load_s(loads, text):
     return min(times)
 
 
-def _load_record(case, state_set):
-    """Load times of the written, compact and rescaled files of one set."""
+def _rescaled(state_set):
+    """The set with every local vector of every state times its own complex scalar."""
     import numpy as np
-    from nlops import ProductState, StateSet, dumps_state_set, loads_state_set
+    from nlops import ProductState, StateSet
 
     rng = np.random.default_rng(len(state_set))
-    rescaled = StateSet(state_set.dims, tuple(
+    return StateSet(state_set.dims, tuple(
         ProductState(tuple(f * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
                            for f in s.factors))
         for s in state_set.states))
+
+
+def _certify_record(case, state_set):
+    """Cold certify_nonlocal of one set: best time, verdict and per-party results."""
+    from nlops import certifier
+
+    times = []
+    while len(times) < REPEAT and sum(times) < CASE_BUDGET_S:
+        certifier._pair_overlaps.cache_clear()
+        start = time.perf_counter()
+        cert = certifier.certify_nonlocal(state_set)
+        times.append(time.perf_counter() - start)
+    return {"case": case, "m": len(state_set), "best_s": min(times), "runs": len(times),
+            "verdict": cert.verdict,
+            "parties": [[p.solution_dim, p.trivial, p.active_pairs] for p in cert.parties]}
+
+
+def _load_record(case, state_set, rescaled):
+    """Load times of the written, compact and rescaled files of one set."""
+    from nlops import dumps_state_set, loads_state_set
+
     written = dumps_state_set(state_set)
     files = {"written": written, "compact": json.dumps(json.loads(written)),
              "rescaled": dumps_state_set(rescaled)}
@@ -143,20 +165,12 @@ def main() -> int:
         "pairs": [],
     }
     for n, d in GRID:
-        state_set = theorem1_set(n, d)
-        times = []
-        while len(times) < REPEAT and sum(times) < CASE_BUDGET_S:
-            certifier._pair_overlaps.cache_clear()
-            start = time.perf_counter()
-            cert = certifier.certify_nonlocal(state_set)
-            times.append(time.perf_counter() - start)
-        record["certify"].append({
-            "case": f"theorem1_set({n}, {d})", "m": len(state_set), "best_s": min(times),
-            "runs": len(times), "verdict": cert.verdict,
-            "parties": [[p.solution_dim, p.trivial, p.active_pairs] for p in cert.parties],
-        })
-        record["load"].append(_load_record(f"theorem1_set({n}, {d})", state_set))
-        record["pairs"].append(_pairs_record(f"theorem1_set({n}, {d})", state_set))
+        case, state_set = f"theorem1_set({n}, {d})", theorem1_set(n, d)
+        rescaled = _rescaled(state_set)
+        record["certify"].append(_certify_record(case, state_set))
+        record["certify"].append(_certify_record(f"rescaled {case}", rescaled))
+        record["load"].append(_load_record(case, state_set, rescaled))
+        record["pairs"].append(_pairs_record(case, state_set))
     for case in ADVERSARIAL:
         record["pairs"].append(_pairs_record(case, eval(case, vars(nlops))))
     certifier._pair_overlaps.cache_clear()
