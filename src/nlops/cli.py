@@ -28,6 +28,7 @@ from .constructions import (
     theorem2_set,
     theorem3_set,
     theorem4_set,
+    _equal_dims,
 )
 from .oracles import cramer_solve, proof_determinants_nonzero, roots_of_unity, vandermonde_det
 from .serialize import dump_certificate, dump_state_set, load_state_set
@@ -53,7 +54,7 @@ def _parse_dims(args) -> tuple[int, ...]:
         return dims
     if args.n is None or args.d is None:
         raise ValueError("need --dims, or both --n and --d")
-    return (args.d,) * args.n
+    return _equal_dims(args.n, args.d)
 
 
 def _generate_set(theorem: int, dims: tuple[int, ...]):

@@ -131,14 +131,22 @@ def theorem4_set(dims) -> StateSet:
     return _cyclic_family(dims, True, f"theorem4 dims={_dims_label(dims)}")
 
 
+def _equal_dims(n: int, d: int) -> tuple[int, ...]:
+    """(d,) * n, refused as too-large before it is built if n + 1 states on n
+    parties already pass the pair-count bound: every family holds more."""
+    n = int(n)
+    _check_pair_count(n + 1, n)
+    return (int(d),) * n
+
+
 def theorem1_set(n: int, d: int) -> StateSet:
     """The 2n(d-1) states on n parties of equal dimension d."""
-    return _cyclic_family(_validated_dims((int(d),) * int(n)), False, f"theorem1 n={n} d={d}")
+    return _cyclic_family(_validated_dims(_equal_dims(n, d)), False, f"theorem1 n={n} d={d}")
 
 
 def theorem2_set(n: int, d: int) -> StateSet:
     """The n(2d-3)+1 states (stopper included) on n parties of equal dimension d."""
-    return _cyclic_family(_validated_dims((int(d),) * int(n)), True, f"theorem2 n={n} d={d}")
+    return _cyclic_family(_validated_dims(_equal_dims(n, d)), True, f"theorem2 n={n} d={d}")
 
 
 def product_basis(dims) -> StateSet:

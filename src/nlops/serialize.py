@@ -6,8 +6,9 @@ byte-identical and verdicts survive serialization exactly.
 
 A file in the writer's own layout is read by splitting each state line into
 its local-vector texts and decoding each distinct text once.  Any other
-layout goes through json.loads, as does every file with an error in it, so
-that both kinds of file are accepted, refused and reported alike.
+layout goes through json.loads, as does every file with an error in it.  Both
+readers feed one table builder, so that both kinds of file are accepted,
+refused and reported alike.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import json
 import marshal
 import os
 import re
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 
 from .certifier import Certificate
-from .tensor_core import StateSet, _check_local_vectors
+from .tensor_core import ProductState, StateSet
 
 __all__ = [
     "FORMAT_VERSION",
@@ -131,45 +132,33 @@ def _load_written(text: str) -> StateSet | None:
     """The set in text if text has exactly the layout dumps_state_set writes,
     else None; None too if anything in it is wrong, for the JSON path to report.
 
-    Each state line is split into its local-vector texts and each distinct
-    text is decoded once.  When every line matches the layout and each text
-    is a complete JSON value, text is a JSON document holding exactly these
-    values, so the JSON path would build the same table.
+    Each state line is split into its local-vector texts, which are the keys,
+    and each distinct text is decoded once.  When every line matches the
+    layout and each text is a complete JSON value, text is a JSON document
+    holding exactly these values, so the JSON path would build the same table.
     """
     lines = text.split("\n")
     if len(lines) < 8 or lines[:2] != _HEAD or lines[4] != _STATES or lines[-3:] != _TAIL:
         return None
     try:
-        dims, label = _field(lines[2], "dims"), _field(lines[3], "label")
-        if not (type(dims) is list and len(dims) >= 2 and type(label) is str
-                and all(type(d) is int and d >= 1 for d in dims)):
-            return None
-        states = lines[5:-3]
-        known = [{} for _ in dims]  # per party: vector text -> table row
-        rows = [{} for _ in dims]  # per party: amplitude bytes -> table row
-        decoded = {}  # vector text -> its decoded list, for every party
-        index = []
-        for s_idx, line in enumerate(states):
-            # '    [[[' + the texts joined by ']], [[' + ']]]', and a comma on all but the last
-            end = "]]]" if s_idx == len(states) - 1 else "]]],"
-            if not (line.startswith("    [[[") and line.endswith(end)):
-                return None
-            texts = line[7:-len(end)].split("]], [[")
-            if len(texts) != len(dims):
-                return None
-            row = list(map(dict.get, known, texts))
-            if None in row:  # vector texts these parties have not held yet
-                for p_idx, vec_text in enumerate(texts):
-                    if row[p_idx] is None:
-                        raw = decoded.get(vec_text)
-                        if raw is None:
-                            raw = decoded[vec_text] = _decoded("[[" + vec_text + "]]")
-                        row[p_idx] = known[p_idx][vec_text] = _row_of(
-                            rows[p_idx], _converted(raw, dims[p_idx], s_idx, p_idx))
-            index.append(row)
-        return _state_set(dims, rows, index, label)
+        dims = _field(lines[2], "dims")
+        return _built(dims, _field(lines[3], "label"), _written_states(dims, lines[5:-3]),
+                      lru_cache(maxsize=None)(lambda vec_text: _decoded(f"[[{vec_text}]]")))
     except Exception:  # whatever failed, the JSON path reads text again and names it
         return None
+
+
+def _written_states(dims: list[int], states: list[str]):
+    """Each state line's local-vector texts, as both its keys and its raw vectors."""
+    for s_idx, line in enumerate(states):
+        # '    [[[' + the texts joined by ']], [[' + ']]]', and a comma on all but the last
+        end = "]]]" if s_idx == len(states) - 1 else "]]],"
+        if not (line.startswith("    [[[") and line.endswith(end)):
+            raise ValueError("not a state line")
+        texts = line[7:-len(end)].split("]], [[")
+        if len(texts) != len(dims):
+            raise ValueError("not one vector per party")
+        yield texts, texts
 
 
 def _load_json(text: str) -> StateSet:
@@ -185,57 +174,69 @@ def _load_json(text: str) -> StateSet:
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION!r}")
     dims = doc.get("dims")
-    _require(isinstance(dims, list) and len(dims) >= 2, "dims must list >= 2 parties")
-    _require(all(type(d) is int and d >= 1 for d in dims),
-             "dims must be positive integers")
-    label = doc.get("label", "")
-    _require(isinstance(label, str), "label must be a string")
-    raw_states = doc.get("states")
-    _require(isinstance(raw_states, list), "states must be an array")
-    # The families repeat a few local vectors many times, so each party's
-    # distinct decoded vectors are checked and converted once.  A vector's key
-    # is the marshal bytes (format 2, which has no back-references) of its
-    # decoded list: they hold each value's type and exact bits, so values that
-    # decode differently (-0.0 and 0.0, true and 1, "1" and 1) get different
-    # keys.  Messages are formatted only on failure.
-    known: list[dict[bytes, int]] = [{} for _ in dims]  # per party: key -> table row
-    rows: list[dict[bytes, int]] = [{} for _ in dims]  # per party: amplitude bytes -> row
-    index = []
+    return _built(dims, doc.get("label", ""), _json_states(dims, doc.get("states")), _as_is)
+
+
+def _json_states(dims: list[int], raw_states):
+    """Each state's keys, the marshal bytes (format 2: no back-references) of
+    its decoded local vectors, and the vectors.  The bytes hold each value's
+    type and exact bits, so values that decode differently (-0.0 and 0.0, true
+    and 1, "1" and 1) get different keys.  Nothing runs before the first state
+    is asked for: states that are no array are refused after dims and label."""
+    if not isinstance(raw_states, list):
+        raise ValueError("states must be an array")
     for s_idx, raw in enumerate(raw_states):
         if not (isinstance(raw, list) and len(raw) == len(dims)):
-            raise ValueError(f"malformed-file: state {s_idx} must have one entry per party")
-        keys = [marshal.dumps(raw_vec, 2) for raw_vec in raw]
-        line = list(map(dict.get, known, keys))
-        if None in line:  # vectors these parties have not held yet
-            fresh = [p_idx for p_idx, row in enumerate(line) if row is None]
-            vecs = [_converted(raw[p_idx], dims[p_idx], s_idx, p_idx) for p_idx in fresh]
-            try:  # one bad-local check per state, as ProductState makes
-                _check_local_vectors(np.concatenate(vecs),
-                                     [0, *accumulate(len(v) for v in vecs[:-1])])
-            except ValueError as exc:
-                raise ValueError(f"malformed-file: state {s_idx}: {exc}") from exc
-            for p_idx, vec in zip(fresh, vecs):
-                line[p_idx] = known[p_idx][keys[p_idx]] = _row_of(rows[p_idx], vec)
-        index.append(line)
-    return _state_set(dims, rows, index, label)
+            raise ValueError(f"state {s_idx} must have one entry per party")
+        yield [marshal.dumps(raw_vec, 2) for raw_vec in raw], raw
 
 
-def _row_of(rows: dict[bytes, int], vec: np.ndarray) -> int:
-    """The table row of a converted local vector, keyed on its amplitudes' bytes
-    (so that 1 and 1.0 share one); a vector not seen before gets the next row."""
-    return rows.setdefault(vec.tobytes(), len(rows))
+def _as_is(raw_vec):
+    return raw_vec
 
 
-def _state_set(dims: list[int], rows: list[dict[bytes, int]], index: list[list[int]],
-               label: str) -> StateSet:
-    """The set whose party j table holds the vectors keyed in rows[j], in row order."""
-    try:  # a d too large for numpy fails already in the reshape
+def _built(dims, label, states, decode) -> StateSet:
+    """The set of dims, label and states; states yields each state's keys, one
+    per party, which only equal raw vectors share, and its raw vectors, which
+    decode turns into decoded lists.
+
+    The families repeat a few local vectors many times, so each party's
+    distinct keys are converted once.  Amplitudes are checked once, by the
+    table check of StateSet.from_table.  On any error the first finished state
+    holding a bad vector is named, as its ProductState would name it: a bad
+    vector is new at its first holder, so a check per state would stop there.
+    """
+    _require(isinstance(dims, list) and len(dims) >= 2, "dims must list >= 2 parties")
+    _require(all(type(d) is int and d >= 1 for d in dims), "dims must be positive integers")
+    _require(isinstance(label, str), "label must be a string")
+    known = [{} for _ in dims]  # per party: key -> table row
+    rows = [{} for _ in dims]  # per party: amplitude bytes -> table row
+    index = []
+    try:
+        for s_idx, (keys, raws) in enumerate(states):
+            line = list(map(dict.get, known, keys))
+            if None in line:  # keys these parties have not held yet
+                for p_idx, key in enumerate(keys):
+                    if line[p_idx] is None:
+                        vec = _converted(decode(raws[p_idx]), dims[p_idx], s_idx, p_idx)
+                        party_rows = rows[p_idx]
+                        line[p_idx] = known[p_idx][key] = party_rows.setdefault(
+                            vec.tobytes(), len(party_rows))
+            index.append(line)
+        # a d too large for numpy fails already in the reshape
         vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)
                    for table, d in zip(rows, dims)]
         return StateSet.from_table(tuple(dims), vectors,
                                    np.array(index, dtype=np.intp).reshape(-1, len(dims)),
                                    label=label)
     except ValueError as exc:
+        tables = [list(party_rows) for party_rows in rows]
+        for s_idx, line in enumerate(index):
+            try:
+                ProductState(tuple(np.frombuffer(table[row], dtype=np.complex128)
+                                   for table, row in zip(tables, line)))
+            except ValueError as bad:
+                raise ValueError(f"malformed-file: state {s_idx}: {bad}") from bad
         raise ValueError(f"malformed-file: {exc}") from exc
 
 
@@ -243,17 +244,15 @@ def _converted(raw_vec, d: int, s_idx: int, p_idx: int) -> np.ndarray:
     """One decoded local vector, first held by state s_idx at party p_idx, with
     its shape and types checked, converted to complex amplitudes."""
     if not (isinstance(raw_vec, list) and len(raw_vec) == d):
-        raise ValueError(
-            f"malformed-file: state {s_idx} party {p_idx} must have {d} amplitudes")
+        raise ValueError(f"state {s_idx} party {p_idx} must have {d} amplitudes")
     if not all(type(pair) is list and len(pair) == 2
                and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER
                for pair in raw_vec):
-        raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
-                         "amplitudes must be [re, im] numbers")
+        raise ValueError(f"state {s_idx} party {p_idx}: amplitudes must be [re, im] numbers")
     try:
         return np.array(raw_vec, dtype=np.float64).view(np.complex128).ravel()
     except OverflowError as exc:
-        raise ValueError(f"malformed-file: state {s_idx} party {p_idx}: "
+        raise ValueError(f"state {s_idx} party {p_idx}: "
                          "amplitude too large for a float") from exc
 
 

@@ -164,6 +164,8 @@ class StateSet:
         return state_set
 
     def _set_table(self, dims, vectors, index, label) -> None:
+        if not isinstance(label, str):  # a file holds only a string label
+            raise ValueError(f"bad-label: label must be a string, not {type(label).__name__}")
         index = np.array(index, dtype=np.intp)
         if len(vectors) != len(dims) or index.ndim != 2 or index.shape[1] != len(dims):
             raise ValueError(f"bad-table: need one vector table and one index column "

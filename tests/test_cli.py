@@ -64,10 +64,13 @@ def _cap_address_space():
 @pytest.mark.parametrize("size", [["--theorem", "1", "--n", "3", "--d", "3000"],
                                   ["--theorem", "3", "--dims", "2,2,100000"],
                                   ["--theorem", "1", "--n", "3", "--d", "65"],
-                                  ["--theorem", "4", "--dims", "2,3,100"]])
+                                  ["--theorem", "4", "--dims", "2,3,100"],
+                                  ["--theorem", "1", "--n", str(2**63), "--d", "2"],
+                                  ["--theorem", "1", "--n", str(10**15), "--d", "2"]])
 def test_generate_refuses_a_set_too_large_to_certify_before_building_it(tmp_path, size):
     # 17,994 and 200,002 states: building either would take several GB, past the cap.
-    # The last two are small, but a local dimension above 64 has no Hermitian basis.
+    # The next two are small, but a local dimension above 64 has no Hermitian basis.
+    # The last two party counts are refused before their (d,) * n dims are built.
     out = tmp_path / "big.json"
     src = pathlib.Path(nlops.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-m", "nlops", "generate", *size, "--out", str(out)],

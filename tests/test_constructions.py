@@ -240,6 +240,13 @@ def test_product_basis_refuses_a_set_too_large_to_certify():
         product_basis((2,) * 13)
 
 
+@pytest.mark.parametrize("family", [theorem1_set, theorem2_set])
+def test_huge_party_count_is_refused_before_the_dims_are_built(family):
+    # (2,) * 2**63 cannot be built: the count must be refused before it is.
+    with pytest.raises(ValueError, match="^too-large: "):
+        family(2**63, 2)
+
+
 def test_product_basis():
     pb = product_basis((2, 3))
     assert len(pb) == 6

@@ -1,6 +1,7 @@
 """Tests for the state-set file format and certificate serialization."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from nlops import (
     dumps_certificate,
     dumps_state_set,
     loads_state_set,
+    theorem1_set,
     theorem2_set,
     theorem4_set,
 )
+from nlops import tensor_core
 from nlops.serialize import _load_json, _load_written, certificate_to_dict
 
 from sweeps import sweep_sets
@@ -233,6 +236,74 @@ def test_load_checks_each_new_vector_of_a_state():
         loads_state_set(text)
     assert str(info.value) == ("malformed-file: state 1: bad-local: "
                                "a local vector needs at least one nonzero amplitude")
+
+
+def _file(lines, layout):
+    """A file holding the given state lines, in the writer's layout or compactly."""
+    if layout == "written":
+        return ('{\n  "format_version": "nlops-1",\n  "dims": [2, 2],\n  "label": "",\n'
+                '  "states": [\n' + ",\n".join("    " + line for line in lines) + "\n  ]\n}\n")
+    return ('{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": ['
+            + ", ".join(lines) + "]}")
+
+
+@pytest.mark.parametrize("bad, error", [
+    # a structural error in a later state is reported only after the earlier ones are checked
+    ([(2, 0, "[[0, 0], [0, 0]]"), (5, 1, "[[1, 0]]")],
+     "state 2: bad-local: a local vector needs at least one nonzero amplitude"),
+    ([(4, 1, "[[1e200, 0], [0, 0]]"), (6, 0, '[[1, 0], ["x", 0]]')],
+     f"state 4: bad-local: {_NORM_RANGE}"),
+    # two bad vectors in one state get the message one ProductState of them gets
+    ([(2, 0, "[[0, 0], [0, 0]]"), (2, 1, "[[NaN, 0], [0, 0]]")],
+     "state 2: bad-local: amplitudes must be finite"),
+])
+@pytest.mark.parametrize("layout", ["written", "compact"])
+def test_load_reports_the_first_error_of_a_file_with_several(bad, error, layout):
+    good = ["[[1, 0], [0, 0]]", "[[0, 0], [1, 0]]"]
+    states = [[good[i % 2], good[(i // 2) % 2]] for i in range(8)]
+    for s_idx, p_idx, vec in bad:
+        states[s_idx][p_idx] = vec
+    with pytest.raises(ValueError) as info:
+        loads_state_set(_file([_state_line(vectors) for vectors in states], layout))
+    assert str(info.value) == f"malformed-file: {error}"
+
+
+@pytest.mark.parametrize("line, error", [
+    ('  "label": 5,', "label must be a string"),
+    ('  "label": null,', "label must be a string"),
+    ('  "label": ["x"],', "label must be a string"),
+    ('  "dims": [2.0, 2, 2],', "dims must be positive integers"),
+    ('  "dims": [true, 2, 2],', "dims must be positive integers"),
+    ('  "dims": [0, 2, 2],', "dims must be positive integers"),
+    ('  "dims": [2],', "dims must list >= 2 parties"),
+])
+def test_written_layout_checks_dims_and_label_as_the_json_path_does(line, error):
+    lines = dumps_state_set(theorem2_set(3, 2)).split("\n")
+    lines[2 if "dims" in line else 3] = line
+    text = "\n".join(lines)
+    for load in (loads_state_set, _load_json):
+        with pytest.raises(ValueError) as info:
+            load(text)
+        assert str(info.value) == f"malformed-file: {error}"
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["written", "compact"])
+def test_load_checks_each_party_table_once(monkeypatch, compact):
+    text = dumps_state_set(theorem1_set(40, 4))
+    if compact:
+        text = json.dumps(json.loads(text))
+    calls = []
+    check = tensor_core._check_local_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nlops" and hasattr(module, "_check_local_vectors"):
+            monkeypatch.setattr(module, "_check_local_vectors", counted)
+    loads_state_set(text)
+    assert len(calls) == 40  # the table check, once per party; no check per state
 
 
 def _shared_vector_sets():

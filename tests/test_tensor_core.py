@@ -186,6 +186,16 @@ def test_state_set_table_is_checked(vectors, index, error):
         StateSet.from_table((2, 2), vectors, index)
 
 
+@pytest.mark.parametrize("label", [5, None, ["x"]])
+def test_state_set_refuses_a_label_that_is_no_string(label):
+    # A file holds only a string label, so such a set could not be loaded back.
+    good = ProductState(([1, 0], [0, 1]))
+    with pytest.raises(ValueError, match="^bad-label: "):
+        StateSet((2, 2), (good,), label=label)
+    with pytest.raises(ValueError, match="^bad-label: "):
+        StateSet.from_table((2, 2), (_ONE, _ONE), [[0, 0]], label=label)
+
+
 def test_state_set_from_table_copies_its_input():
     vectors, index = [_BOTH.copy(), _BOTH.copy()], np.array([[0, 1], [1, 0]])
     ss = StateSet.from_table((2, 2), vectors, index, label="t")
