@@ -25,7 +25,7 @@ from math import prod
 import numpy as np
 
 from .certifier import _check_pair_count
-from .tensor_core import StateSet, _check_local_dim, _checked_dims
+from .tensor_core import StateSet, _check_local_dim, _checked_dims, check_tolerance
 
 __all__ = [
     "phase_vector",
@@ -210,6 +210,7 @@ def canonical_compare(a: StateSet, b: StateSet, tol: float = 1e-10) -> bool:
     Looks for a bijection between the state lists under which matched states
     are parallel, tested via |<a_i|b_j>|^2 = <a_i|a_i><b_j|b_j> within tol.
     """
+    check_tolerance("tol", tol)
     if a.dims != b.dims:
         raise ValueError(f"dim-mismatch: {a.dims} vs {b.dims}")
     if len(a) != len(b):

@@ -17,7 +17,6 @@ import json
 import marshal
 import os
 import re
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,20 +111,12 @@ def loads_state_set(text: str) -> StateSet:
 _DECODER = json.JSONDecoder(parse_int=_int_keeping_negative_zero)
 
 
-def _decoded(text: str):
-    """The JSON value that text holds and nothing else; ValueError if there is none."""
-    value, end = _DECODER.scan_once(text, 0)
-    if end != len(text):
-        raise ValueError("text after the value")
-    return value
-
-
 def _field(line: str, key: str):
     """The decoded value of a line that reads '  "key": <value>,'."""
     prefix = f'  "{key}": '
     if not (line.startswith(prefix) and line.endswith(",")):
         raise ValueError(f"no {key} line")
-    return _decoded(line[len(prefix):-1])
+    return _DECODER.decode(line[len(prefix):-1])
 
 
 def _load_written(text: str) -> StateSet | None:
@@ -133,7 +124,7 @@ def _load_written(text: str) -> StateSet | None:
     else None; None too if anything in it is wrong, for the JSON path to report.
 
     Each state line is split into its local-vector texts, which are the keys,
-    and each distinct text is decoded once.  When every line matches the
+    and _built decodes each distinct text once.  When every line matches the
     layout and each text is a complete JSON value, text is a JSON document
     holding exactly these values, so the JSON path would build the same table.
     """
@@ -143,7 +134,7 @@ def _load_written(text: str) -> StateSet | None:
     try:
         dims = _field(lines[2], "dims")
         return _built(dims, _field(lines[3], "label"), _written_states(dims, lines[5:-3]),
-                      lru_cache(maxsize=None)(lambda vec_text: _decoded(f"[[{vec_text}]]")))
+                      lambda vec_text: _DECODER.decode(f"[[{vec_text}]]"))
     except Exception:  # whatever failed, the JSON path reads text again and names it
         return None
 
@@ -200,15 +191,17 @@ def _built(dims, label, states, decode) -> StateSet:
     per party, which only equal raw vectors share, and its raw vectors, which
     decode turns into decoded lists.
 
-    The families repeat a few local vectors many times, so each party's
-    distinct keys are converted once.  Amplitudes are checked once, by the
-    table check of StateSet.from_table.  On any error the first finished state
+    The families put the same few local vectors on every party, so each
+    distinct key is decoded, checked and converted once per local dimension,
+    however many parties hold it.  Amplitudes are checked once, by the table
+    check of StateSet.from_table.  On any error the first finished state
     holding a bad vector is named, as its ProductState would name it: a bad
     vector is new at its first holder, so a check per state would stop there.
     """
     _require(isinstance(dims, list) and len(dims) >= 2, "dims must list >= 2 parties")
     _require(all(type(d) is int and d >= 1 for d in dims), "dims must be positive integers")
     _require(isinstance(label, str), "label must be a string")
+    converted = {}  # (key, local dimension) -> amplitude bytes, shared by all parties
     known = [{} for _ in dims]  # per party: key -> table row
     rows = [{} for _ in dims]  # per party: amplitude bytes -> table row
     index = []
@@ -218,10 +211,14 @@ def _built(dims, label, states, decode) -> StateSet:
             if None in line:  # keys these parties have not held yet
                 for p_idx, key in enumerate(keys):
                     if line[p_idx] is None:
-                        vec = _converted(decode(raws[p_idx]), dims[p_idx], s_idx, p_idx)
+                        d = dims[p_idx]
+                        amps = converted.get((key, d))
+                        if amps is None:
+                            amps = converted[key, d] = _converted(
+                                decode(raws[p_idx]), d, s_idx, p_idx).tobytes()
                         party_rows = rows[p_idx]
                         line[p_idx] = known[p_idx][key] = party_rows.setdefault(
-                            vec.tobytes(), len(party_rows))
+                            amps, len(party_rows))
             index.append(line)
         # a d too large for numpy fails already in the reshape
         vectors = [np.frombuffer(b"".join(table), dtype=np.complex128).reshape(len(table), d)

@@ -328,6 +328,7 @@ def coords_to_matrix(h: HermitianCoords) -> np.ndarray:
 
 def matrix_to_coords(m, tol: float = 1e-10) -> HermitianCoords:
     """Coordinates of a Hermitian matrix; rejects matrices with asymmetry above tol."""
+    check_tolerance("tol", tol)
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"dim-mismatch: expected a square matrix, got {a.shape}")

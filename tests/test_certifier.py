@@ -20,11 +20,13 @@ from nlops import (
     assemble_constraints,
     basis_vector,
     brute_force_constraints,
+    canonical_compare,
     certify_nonlocal,
     check_pairwise_orthogonality,
     coords_to_matrix,
     hermitian_basis,
     hermitian_basis_flat,
+    matrix_to_coords,
     nullspace_real,
     partial_inner_excluding,
     product_basis,
@@ -448,7 +450,10 @@ def test_tolerances_threaded_through():
     lambda v: nullspace_real(np.eye(3), v),
     lambda v: assemble_constraints(theorem1_set(3, 2), 0, tol_active=v),
     lambda v: check_pairwise_orthogonality(theorem1_set(3, 2), tol=v),
-], ids=["Tolerances", "nullspace_real", "assemble_constraints", "check_pairwise_orthogonality"])
+    lambda v: matrix_to_coords(np.eye(2), tol=v),
+    lambda v: canonical_compare(theorem1_set(3, 2), theorem1_set(3, 2), tol=v),
+], ids=["Tolerances", "nullspace_real", "assemble_constraints", "check_pairwise_orthogonality",
+        "matrix_to_coords", "canonical_compare"])
 def test_every_tolerance_must_be_finite_and_positive(call, value):
     with pytest.raises(ValueError, match="bad-tolerance: .* must be finite and > 0"):
         call(value)
@@ -540,8 +545,8 @@ def test_overlap_table_is_not_shared_between_sets():
     assert not any(a.flags.writeable for a in (iu, jv, g, *units))
 
 
-def _rescaled(s, seed=7):
-    """s with every local vector of every state times its own complex scalar."""
+def _jittered(s, seed=7):
+    """s with every local vector times its own complex scalar of modulus 0.5 to 2."""
     rng = np.random.default_rng(seed)
     return StateSet(s.dims, tuple(
         ProductState(tuple(f * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
@@ -552,7 +557,7 @@ def _rescaled(s, seed=7):
 @pytest.mark.parametrize(
     "state_set",
     [*sweep_sets(), product_basis((2, 2, 2)), product_basis((3, 2, 2)),
-     _with_duplicate(theorem2_set(3, 2)), _rescaled(theorem1_set(4, 3))],
+     _with_duplicate(theorem2_set(3, 2)), _jittered(theorem1_set(4, 3))],
     ids=lambda s: s.label,
 )
 def test_table_keeps_exactly_the_pairs_orthogonal_on_at_most_one_party(state_set):
@@ -654,8 +659,8 @@ _SHARING_GROUPS = {
     "selftest-sweep": lambda: [s for s, _ in _sweep_sets()],
     "perfbench": _perfbench_sets,
     "controls": lambda: [product_basis((2, 2)), product_basis((2, 2, 2)),
-                         product_basis((3, 2, 2)), _rescaled(theorem1_set(40, 4)),
-                         _rescaled(theorem2_set(5, 3))],
+                         product_basis((3, 2, 2)), _jittered(theorem1_set(40, 4)),
+                         _jittered(theorem2_set(5, 3))],
 }
 
 

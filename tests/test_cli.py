@@ -16,7 +16,7 @@ import pytest
 import nlops
 from nlops import ProductState, basis_vector, dump_state_set, product_basis, theorem2_set
 from nlops.cli import _subspace_gap, main
-from nlops import certifier
+from nlops import certifier, cli
 from nlops.tensor_core import StateSet
 
 
@@ -83,10 +83,48 @@ def test_generate_refuses_a_set_too_large_to_certify_before_building_it(tmp_path
     assert not out.exists()
 
 
+def _assert_one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(start)
+
+
 def test_generate_unwritable_path(capsys):
     code = main(["generate", "--theorem", "1", "--n", "3", "--d", "2",
                  "--out", "/nonexistent-dir/out.json"])
     assert code == 2
+    _assert_one_error_line(capsys, "error: cannot write /nonexistent-dir/out.json: ")
+
+
+def test_certify_unwritable_certificate_path(tmp_path, capsys):
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 2), state_file)
+    out = tmp_path / "missing" / "cert.json"
+    assert main(["certify", str(state_file), "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, f"error: cannot write {out}: ")
+
+
+def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, capsys):
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 2), state_file)
+    main(["certify", str(state_file), "--tol-orth", "0.5"])
+    assert "tol 0.5)" in capsys.readouterr().out
+    main(["certify", str(state_file)])
+    assert "tol 1e-10)" in capsys.readouterr().out
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 2), state_file)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["certify", str(state_file)],
+                 ["generate", "--theorem", "1", "--n", "3", "--d", "2", "--out", str(state_file)],
+                 ["certify", str(state_file), "--tol-rank", "1e-8"]):
+        main(argv)
+    assert built == [1]
 
 
 def test_generate_then_certify_pipeline(tmp_path, capsys):

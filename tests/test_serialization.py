@@ -18,7 +18,7 @@ from nlops import (
     theorem2_set,
     theorem4_set,
 )
-from nlops import tensor_core
+from nlops import serialize, tensor_core
 from nlops.serialize import _load_json, _load_written, certificate_to_dict
 
 from sweeps import sweep_sets
@@ -238,12 +238,12 @@ def test_load_checks_each_new_vector_of_a_state():
                                "a local vector needs at least one nonzero amplitude")
 
 
-def _file(lines, layout):
+def _file(lines, layout, dims="[2, 2]"):
     """A file holding the given state lines, in the writer's layout or compactly."""
     if layout == "written":
-        return ('{\n  "format_version": "nlops-1",\n  "dims": [2, 2],\n  "label": "",\n'
+        return (f'{{\n  "format_version": "nlops-1",\n  "dims": {dims},\n  "label": "",\n'
                 '  "states": [\n' + ",\n".join("    " + line for line in lines) + "\n  ]\n}\n")
-    return ('{"format_version": "nlops-1", "dims": [2, 2], "label": "", "states": ['
+    return (f'{{"format_version": "nlops-1", "dims": {dims}, "label": "", "states": ['
             + ", ".join(lines) + "]}")
 
 
@@ -304,6 +304,32 @@ def test_load_checks_each_party_table_once(monkeypatch, compact):
             monkeypatch.setattr(module, "_check_local_vectors", counted)
     loads_state_set(text)
     assert len(calls) == 40  # the table check, once per party; no check per state
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["written", "compact"])
+def test_load_converts_each_distinct_local_vector_once(monkeypatch, compact):
+    # The 40 parties of theorem1_set(40, 4) hold 8 distinct local vectors between them.
+    text = dumps_state_set(theorem1_set(40, 4))
+    if compact:
+        text = json.dumps(json.loads(text))
+    calls = []
+    convert = serialize._converted
+    monkeypatch.setattr(serialize, "_converted",
+                        lambda *args: calls.append(args) or convert(*args))
+    loads_state_set(text)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("layout", ["written", "compact"])
+def test_a_vector_held_at_two_local_dimensions_is_checked_at_each(layout):
+    # State 1 holds [[0, 0], [1, 0]] at party 0, where d = 2, and at party 1, where d = 3.
+    state_0 = "[[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]]"
+    good = _file([state_0, "[[[0, 0], [1, 0]], [[0, 0], [1, 0], [0, 0]]]"], layout, "[2, 3]")
+    assert (_load_written(good) is None) == (layout == "compact")
+    bad = _file([state_0, "[[[0, 0], [1, 0]], [[0, 0], [1, 0]]]"], layout, "[2, 3]")
+    with pytest.raises(ValueError) as info:
+        loads_state_set(bad)
+    assert str(info.value) == "malformed-file: state 1 party 1 must have 3 amplitudes"
 
 
 def _shared_vector_sets():
