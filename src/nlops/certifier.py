@@ -25,9 +25,12 @@ from math import prod
 import numpy as np
 
 from .tensor_core import (
+    MAX_OVERLAP_ENTRIES,
     HermitianCoords,
     StateSet,
     _check_local_dim,
+    _check_pair_count,
+    _check_party,
     check_tolerance,
     hermitian_basis_flat,
     nullspace_real,
@@ -44,25 +47,10 @@ __all__ = [
     "solution_space",
     "certify_nonlocal",
     "MAX_BRUTE_FORCE_DIM",
-    "MAX_OVERLAP_ENTRIES",
 ]
 
 # Composite dimension above which the explicit full-vector oracle refuses to run.
 MAX_BRUTE_FORCE_DIM = 4096
-
-# Most pair-overlap entries a set's table may have, n_parties * m(m-1)/2, which
-# generation checks too: the real table and its build rows take 16 bytes per
-# entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
-# pair indices, the gathered codes and the dense m x m residuals come on top,
-# so when no pair drops the orthogonality check peaks at about 27 bytes per
-# entry (2000 copies of one (2, 2) state: 4M entries, max RSS +108 MB).  Pairs
-# exactly orthogonal on two parties are left out of the table; finding them
-# takes boolean m x m masks, half the residuals' size and freed before them,
-# so the residuals are most of what is left: product_basis((64, 64)) peaks at
-# 8.5 bytes per entry (16.8M entries, +143 MB), product_basis((2,) * 11) at
-# 1.6 (23.1M, +37 MB).
-# The same bound caps the m(m-1)/2 * d^2 entries of each per-pair oracle array.
-MAX_OVERLAP_ENTRIES = 2**26
 
 # A one-dimensional solution space counts as trivial only if its basis vector
 # is aligned with the identity direction up to this relative shortfall.
@@ -126,18 +114,6 @@ class Certificate:
         if self.certified_nonlocal:
             return "CERTIFIED_NONLOCAL"
         return "NOT_CERTIFIED"
-
-
-def _check_party(state_set: StateSet, party: int) -> None:
-    if not 0 <= party < state_set.n_parties:
-        raise ValueError(f"bad-party: party {party} out of range")
-
-
-def _check_pair_count(m: int, n: int) -> None:
-    """Refuse m states on n parties whose overlap table would pass MAX_OVERLAP_ENTRIES."""
-    if n * (m * (m - 1) // 2) > MAX_OVERLAP_ENTRIES:
-        raise ValueError(f"too-large: {m} states on {n} parties exceed "
-                         f"{MAX_OVERLAP_ENTRIES} pair overlaps")
 
 
 @lru_cache(maxsize=1)
@@ -231,7 +207,7 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     imaginary parts of the functional x -> <u_a|E(x)|u_b> on the party's
     normalized local vectors.  Inactive pairs contribute nothing.
     """
-    _check_party(state_set, party)
+    party = _check_party(state_set.n_parties, party)
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
@@ -256,7 +232,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     above MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more
     than MAX_OVERLAP_ENTRIES entries m(m-1)/2 * d^2 in each per-pair array.
     """
-    _check_party(state_set, party)
+    party = _check_party(state_set.n_parties, party)
     total = prod(state_set.dims)
     if total > MAX_BRUTE_FORCE_DIM:
         raise ValueError(

@@ -49,10 +49,9 @@ def _parse_dims(args) -> tuple[int, ...]:
         raise ValueError("give either --dims or --n/--d, not both")
     if args.dims is not None:
         try:
-            dims = tuple(int(part) for part in args.dims.split(","))
+            return tuple(int(part) for part in args.dims.split(","))
         except ValueError:
             raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}")
-        return dims
     if args.n is None or args.d is None:
         raise ValueError("need --dims, or both --n and --d")
     return _equal_dims(args.n, args.d)
@@ -62,35 +61,31 @@ def _generate_set(theorem: int, dims: tuple[int, ...]):
     if theorem in (1, 2):
         if len(set(dims)) > 1:
             raise ValueError(f"theorem {theorem} needs equal local dimensions, got {dims}")
-        n, d = len(dims), dims[0]
+        # No parties (--n <= 0): the family refuses n = 0 as it does n = 1 or 2.
+        n, d = len(dims), dims[0] if dims else 0
         return theorem1_set(n, d) if theorem == 1 else theorem2_set(n, d)
     return theorem3_set(dims) if theorem == 3 else theorem4_set(dims)
 
 
-def cmd_generate(args) -> int:
+def _write(dump, value, path, **options) -> None:
+    """dump(value, path, **options), an OSError re-raised as cannot write <path>."""
     try:
-        dims = _parse_dims(args)
-        state_set = _generate_set(args.theorem, dims)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        dump_state_set(state_set, args.out, normalize=args.normalize)
+        dump(value, path, **options)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def cmd_generate(args) -> int:
+    state_set = _generate_set(args.theorem, _parse_dims(args))
+    _write(dump_state_set, state_set, args.out, normalize=args.normalize)
     print(f"wrote {len(state_set)} states ({state_set.label}) to {args.out}")
     return 0
 
 
 def cmd_certify(args) -> int:
-    try:
-        tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
-        state_set = load_state_set(args.input)
-        cert = certify_nonlocal(state_set, tol)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
+    state_set = load_state_set(args.input)
+    cert = certify_nonlocal(state_set, tol)
 
     print(f"state set     : {cert.label or '(unlabeled)'}")
     print(f"dims          : {'x'.join(str(d) for d in cert.dims)}")
@@ -111,11 +106,7 @@ def cmd_certify(args) -> int:
     print(f"verdict       : {cert.verdict}")
 
     if args.out:
-        try:
-            dump_certificate(cert, args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        _write(dump_certificate, cert, args.out)
         print(f"certificate written to {args.out}")
     return 0 if cert.certified_nonlocal else 1
 
@@ -226,11 +217,7 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
 
 
 def cmd_selftest(args) -> int:
-    try:
-        tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tol = Tolerances(args.tol_rank, args.tol_active, args.tol_orth)
     total = failures = 0
     for name, ok, detail in _selftest_checks(args.max_total_dim, tol):
         suffix = f"  {detail}" if (detail and not ok) else ""
@@ -284,8 +271,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; any command's OSError or ValueError is one error line and exit 2."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ requires n >= 3.
 
 from __future__ import annotations
 
+import operator
 from math import prod
 
 import numpy as np
 
-from .certifier import _check_pair_count
-from .tensor_core import StateSet, _check_local_dim, _checked_dims, check_tolerance
+from .tensor_core import StateSet, _check_local_dim, _check_pair_count, _checked_dims, check_tolerance
 
 __all__ = [
     "phase_vector",
@@ -44,14 +44,16 @@ def phase_vector(d: int, t: int) -> np.ndarray:
 
     t is taken mod d; distinct t values give mutually orthogonal vectors.
     """
+    d, t = operator.index(d), operator.index(t)
     if d < 1:
         raise ValueError("bad-dimension: d must be >= 1")
     j = np.arange(d)
-    return np.exp(2j * np.pi * ((int(t) % d) * j % d) / d)
+    return np.exp(2j * np.pi * ((t % d) * j % d) / d)
 
 
 def basis_vector(d: int, j: int) -> np.ndarray:
     """Unit coordinate vector |j> in C^d."""
+    d, j = operator.index(d), operator.index(j)
     if d < 1:
         raise ValueError("bad-dimension: d must be >= 1")
     if not 0 <= j < d:
@@ -62,7 +64,7 @@ def basis_vector(d: int, j: int) -> np.ndarray:
 
 
 def _validated_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(operator.index, dims))
     if len(dims) < 3:
         raise ValueError(
             "need-three-parties: the wrap-around families are mutually "
@@ -134,9 +136,9 @@ def theorem4_set(dims) -> StateSet:
 def _equal_dims(n: int, d: int) -> tuple[int, ...]:
     """(d,) * n, refused as too-large before it is built if n + 1 states on n
     parties already pass the pair-count bound: every family holds more."""
-    n = int(n)
+    n = operator.index(n)
     _check_pair_count(n + 1, n)
-    return (int(d),) * n
+    return (operator.index(d),) * n
 
 
 def theorem1_set(n: int, d: int) -> StateSet:

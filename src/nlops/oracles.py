@@ -9,6 +9,8 @@ determinants, capped at 6x6 so the code stays transparent rather than fast).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,7 @@ _MAX_COFACTOR_N = 6
 
 def roots_of_unity(d: int) -> np.ndarray:
     """All d-th roots of unity exp(2*pi*i*k/d), k = 0..d-1."""
+    d = operator.index(d)
     if d < 2:
         raise ValueError("bad-dimension: d must be >= 2")
     return np.exp(2j * np.pi * np.arange(d) / d)
@@ -87,9 +90,7 @@ def cramer_solve(a, b) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != rhs.size:
         raise ValueError(f"dim-mismatch: matrix {m.shape} vs rhs {rhs.shape}")
     n = m.shape[0]
-    if n > _MAX_COFACTOR_N:
-        raise ValueError(f"too-large: cofactor expansion capped at {_MAX_COFACTOR_N}x{_MAX_COFACTOR_N}")
-    det = det_cofactor(m)
+    det = det_cofactor(m)  # refuses n > 6 before any work
     hadamard = float(np.prod(np.linalg.norm(m, axis=1)))
     if abs(det) <= 1e-10 * hadamard:
         raise ValueError("singular: coefficient determinant is negligible")

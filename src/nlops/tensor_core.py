@@ -8,6 +8,7 @@ Hilbert-Schmidt-orthonormal basis whose first element is the scaled identity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -28,6 +29,7 @@ __all__ = [
     "matrix_to_coords",
     "nullspace_real",
     "MAX_LOCAL_DIM",
+    "MAX_OVERLAP_ENTRIES",
 ]
 
 # Smallest normal float: a local vector's squared norm may not fall below it.
@@ -36,11 +38,40 @@ _TINY = float(np.finfo(float).tiny)
 # Largest local dimension with a Hermitian basis: 16 * d^4 bytes, 268 MB at 64.
 MAX_LOCAL_DIM = 64
 
+# Most pair-overlap entries a set's table may have, n_parties * m(m-1)/2, which
+# generation checks too: the real table and its build rows take 16 bytes per
+# entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
+# pair indices, the gathered codes and the dense m x m residuals come on top,
+# so when no pair drops the orthogonality check peaks at about 27 bytes per
+# entry (2000 copies of one (2, 2) state: 4M entries, max RSS +108 MB).  Pairs
+# exactly orthogonal on two parties are left out of the table; finding them
+# takes boolean m x m masks, half the residuals' size and freed before them,
+# so the residuals are most of what is left: product_basis((64, 64)) peaks at
+# 8.5 bytes per entry (16.8M entries, +143 MB), product_basis((2,) * 11) at
+# 1.6 (23.1M, +37 MB).
+# The same bound caps the m(m-1)/2 * d^2 entries of each per-pair oracle array.
+MAX_OVERLAP_ENTRIES = 2**26
+
 
 def _check_local_dim(d: int) -> None:
     """Refuse a local dimension above MAX_LOCAL_DIM, too large for its Hermitian basis."""
     if d > MAX_LOCAL_DIM:
         raise ValueError(f"too-large: local dimension {d} exceeds {MAX_LOCAL_DIM}")
+
+
+def _check_pair_count(m: int, n: int) -> None:
+    """Refuse m states on n parties whose overlap table would pass MAX_OVERLAP_ENTRIES."""
+    if n * (m * (m - 1) // 2) > MAX_OVERLAP_ENTRIES:
+        raise ValueError(f"too-large: {m} states on {n} parties exceed "
+                         f"{MAX_OVERLAP_ENTRIES} pair overlaps")
+
+
+def _check_party(n_parties: int, party) -> int:
+    """party as an int, refused as bad-party unless it is in range(n_parties)."""
+    party = operator.index(party)
+    if not 0 <= party < n_parties:
+        raise ValueError(f"bad-party: party {party} out of range")
+    return party
 
 
 def _check_local_vectors(flat: np.ndarray, starts) -> None:
@@ -116,7 +147,7 @@ def _state_of_checked(factors: tuple[np.ndarray, ...]) -> ProductState:
 
 
 def _checked_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(operator.index, dims))
     if len(dims) < 2:
         raise ValueError("bad-dimension: a state set needs at least two parties")
     if any(d < 1 for d in dims):
@@ -166,6 +197,8 @@ class StateSet:
     def _set_table(self, dims, vectors, index, label) -> None:
         if not isinstance(label, str):  # a file holds only a string label
             raise ValueError(f"bad-label: label must be a string, not {type(label).__name__}")
+        if np.size(index) and np.asarray(index).dtype.kind not in "biu":  # else truncated
+            raise ValueError("bad-table: index must be an integer array")
         index = np.array(index, dtype=np.intp)
         if len(vectors) != len(dims) or index.ndim != 2 or index.shape[1] != len(dims):
             raise ValueError(f"bad-table: need one vector table and one index column "
@@ -219,8 +252,7 @@ class StateSet:
 
     def party_vectors(self, party: int) -> np.ndarray:
         """All states' local vectors at one party, stacked into an (m, d) array."""
-        if not 0 <= party < self.n_parties:
-            raise ValueError(f"bad-party: party {party} out of range")
+        party = _check_party(self.n_parties, party)
         return self.vectors[party][self.index[:, party]]
 
 
@@ -232,7 +264,7 @@ class HermitianCoords:
     coords: np.ndarray
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = operator.index(self.dim)
         if dim < 1:
             raise ValueError("bad-dimension: dim must be >= 1")
         c = np.asarray(self.coords, dtype=np.float64)
@@ -276,8 +308,7 @@ def partial_inner_excluding(a: ProductState, b: ProductState, party: int) -> com
     """
     if a.dims != b.dims:
         raise ValueError(f"dim-mismatch: {a.dims} vs {b.dims}")
-    if not 0 <= party < a.n_parties:
-        raise ValueError(f"bad-party: party {party} out of range")
+    party = _check_party(a.n_parties, party)
     out = 1.0 + 0.0j
     for j, (ua, ub) in enumerate(zip(a.factors, b.factors)):
         if j != party:
@@ -330,8 +361,8 @@ def matrix_to_coords(m, tol: float = 1e-10) -> HermitianCoords:
     """Coordinates of a Hermitian matrix; rejects matrices with asymmetry above tol."""
     check_tolerance("tol", tol)
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dim-mismatch: expected a square matrix, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"dim-mismatch: expected a nonempty square matrix, got {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.conj().T)) > tol * scale:
         raise ValueError("not-hermitian: asymmetry exceeds tolerance")
@@ -356,12 +387,16 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
     memory is O(rows * cols), since a tall matrix gets no square U.
     """
     check_tolerance("tol_rank", tol_rank)
+    if np.iscomplexobj(a):  # casting would drop the imaginary parts
+        raise ValueError("bad-matrix: entries must be real, not complex")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"dim-mismatch: expected a 2-D matrix, got shape {a.shape}")
     rows, cols = a.shape
     if cols < 1:
         raise ValueError("dim-mismatch: need at least one column")
+    if not np.isfinite(a).all():  # inf would pass as rank 0, nan fail inside the SVD
+        raise ValueError("bad-matrix: entries must be finite")
     if rows == 0:
         return np.eye(cols)
     # A wide matrix needs the full vt, whose last rows span its null space.

@@ -44,6 +44,57 @@ def test_generate_rejects_two_parties(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("theorem, n", [("1", "0"), ("2", "0"), ("1", "-1"), ("2", "-3")])
+def test_generate_rejects_zero_or_fewer_parties(tmp_path, capsys, theorem, n):
+    out = tmp_path / "bad.json"
+    code = main(["generate", "--theorem", theorem, "--n", n, "--d", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: need-three-parties: the wrap-around families are mutually "
+        "non-orthogonal on two parties\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims_args, line", [
+    (["--n", "3", "--d", "3", "--dims", "3,3,3"], "give either --dims or --n/--d, not both"),
+    (["--d", "3", "--dims", "3,3,3"], "give either --dims or --n/--d, not both"),
+    ([], "need --dims, or both --n and --d"),
+    (["--n", "3"], "need --dims, or both --n and --d"),
+])
+def test_generate_needs_one_way_to_give_dims(tmp_path, capsys, dims_args, line):
+    out = tmp_path / "bad.json"
+    assert main(["generate", "--theorem", "1", *dims_args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+    assert not out.exists()
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("exc", [OSError("disk gone"), ValueError("bad-thing: odd input")],
+                         ids=["OSError", "ValueError"])
+@pytest.mark.parametrize("command, target", [
+    ("generate", "_generate_set"), ("certify", "certify_nonlocal"),
+    ("selftest", "_selftest_checks"),
+])
+def test_every_command_reaches_the_one_error_exit(tmp_path, capsys, monkeypatch,
+                                                  command, target, exc):
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 2), state_file)
+    argv = {"generate": ["generate", "--theorem", "1", "--n", "3", "--d", "2",
+                         "--out", str(tmp_path / "new.json")],
+            "certify": ["certify", str(state_file)],
+            "selftest": ["selftest"]}[command]
+    monkeypatch.setattr(cli, target, _raise(exc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {exc}\n")
+
+
 def test_generate_rejects_unequal_dims_for_theorem1(tmp_path, capsys):
     code = main(["generate", "--theorem", "1", "--dims", "2,3,2",
                  "--out", str(tmp_path / "x.json")])
@@ -339,6 +390,17 @@ def test_selftest_checks_per_kind(capsys, argv, certified):
             assert SWEEP_KINDS.index(kind) < SWEEP_KINDS.index(next_kind)
     groups = [label for label, _ in groupby(label for _, label in sweep)]
     assert len(groups) == len(set(groups)) == 66
+
+
+def test_selftest_skips_the_oracle_above_its_bound(capsys):
+    # Both n = 5, d = 6 sets (composite dimension 7776) are certified, but the
+    # full-vector oracle stops at MAX_BRUTE_FORCE_DIM = 4096.
+    lines = _selftest_lines(capsys, "--max-total-dim", "8000")
+    assert len(lines) == 284
+    for family in ("theorem1", "theorem2"):
+        label = f"{family} n=5 d=6"
+        assert f"[PASS] certify {label}" in lines
+        assert not [line for line in lines if line.endswith(label) and "oracle" in line]
 
 
 def test_selftest_reads_each_party_of_each_set_once(capsys, monkeypatch):

@@ -180,6 +180,8 @@ _BOTH = np.array([[1.0, 0.0], [0.0, 1.0]])
     ((_ONE, _BOTH), [[0, -1]], "bad-table: party 1 index out of range"),
     ((_ONE, _BOTH), [[0, 1]], "bad-table: party 1 table holds a vector no state uses"),
     ((_ONE, np.vstack([_ONE, _ONE])), [[0, 0], [0, 1]], "bad-table: party 1 table repeats"),
+    ((_BOTH, _BOTH), np.array([[0, 1], [1, 0]]) + 0.7, "bad-table: index must be an integer array"),
+    ((_BOTH, _BOTH), [[2**70, 0], [1, 1]], "bad-table: index must be an integer array"),
 ])
 def test_state_set_table_is_checked(vectors, index, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
