@@ -227,10 +227,11 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
 
     Builds every state as a full vector of length prod(dims), takes the
     overlaps of all pairs with the party's tensor factor left open in one
-    Gram product, applies each basis operator to that factor, and keeps ALL
-    unordered pairs with no activity filtering.  Refuses composite dimensions
-    above MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more
-    than MAX_OVERLAP_ENTRIES entries m(m-1)/2 * d^2 in each per-pair array.
+    Gram product over the columns that two or more states share, applies
+    each basis operator to that factor, and keeps ALL unordered pairs with
+    no activity filtering.  Refuses composite dimensions above
+    MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more than
+    MAX_OVERLAP_ENTRIES entries m(m-1)/2 * d^2 in each per-pair array.
     """
     party = _check_party(state_set.n_parties, party)
     total = prod(state_set.dims)
@@ -247,7 +248,11 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     if m < 2:
         return np.zeros((0, d * d))
     full, norms = _full_vectors(state_set)
-    psi = np.moveaxis(full.reshape((m,) + state_set.dims), party + 1, 1).reshape(m * d, -1)
+    psi = np.moveaxis(full.reshape((m,) + state_set.dims), party + 1, 1).reshape(m, d, -1)
+    # A column nonzero for at most one state adds only to that state's own
+    # block c[a, :, a, :], which no pair a < b reads.
+    shared = np.count_nonzero(psi.any(axis=1), axis=0) >= 2
+    psi = psi[:, :, shared].reshape(m * d, -1)
     # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
     c = (psi.conj() @ psi.T).reshape(m, d, m, d)
     iu, jv = np.triu_indices(m, 1)

@@ -382,9 +382,14 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a real matrix.
 
     Rank is decided by SVD: singular values below tol_rank times the largest
-    one (or times 1 for a zero matrix) count as zero.  An empty matrix has the
-    full space as its null space.  The SVD is thin: beyond the cols x cols vt,
-    memory is O(rows * cols), since a tall matrix gets no square U.
+    one (or times 1 for a zero matrix) count as zero.  Rows that are exactly
+    zero are dropped first, which changes no null space; a matrix with no
+    other row has the full space as its null space.  The SVD is thin, so a
+    tall matrix gets no square U and memory beyond the cols x cols vt is
+    O(rows * cols).  A matrix at least as tall as LAPACK dgesdd's own QR
+    crossover (MNTHR, cols * 11 // 6 rows) is first reduced to the cols x cols
+    R of its QR factorization, as dgesdd itself reduces it, so that its thin
+    U is not formed either.
     """
     check_tolerance("tol_rank", tol_rank)
     if np.iscomplexobj(a):  # casting would drop the imaginary parts
@@ -397,8 +402,12 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
         raise ValueError("dim-mismatch: need at least one column")
     if not np.isfinite(a).all():  # inf would pass as rank 0, nan fail inside the SVD
         raise ValueError("bad-matrix: entries must be finite")
+    a = a[a.any(axis=1)]
+    rows = len(a)
     if rows == 0:
         return np.eye(cols)
+    if rows >= cols * 11 // 6:
+        a = np.linalg.qr(a, mode="r")
     # A wide matrix needs the full vt, whose last rows span its null space.
     _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
     smax = float(s[0])

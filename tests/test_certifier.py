@@ -226,8 +226,14 @@ def _rescaled(base, seed):
         for s in base.states), label="rescaled")
 
 
+# The oracle's Gram reads only columns nonzero for two or more states.  In
+# |00>, |11> each column is held by one state, so every row is zero;
+# theorem2_set(4, 3) keeps 15 of its 27 columns per party, theorem1_set(3, 3) 6 of 9.
 _ORACLE_SETS = [theorem1_set(3, 3), theorem4_set((2, 3, 4)), product_basis((2, 2, 2)),
-                _rescaled(theorem3_set((2, 3, 4)), 43)]
+                _rescaled(theorem3_set((2, 3, 4)), 43),
+                StateSet((2, 2), [ProductState((basis_vector(2, j), basis_vector(2, j)))
+                                  for j in (0, 1)], label="unshared columns"),
+                theorem2_set(4, 3)]
 
 
 @pytest.mark.parametrize("state_set", _ORACLE_SETS, ids=lambda s: s.label)

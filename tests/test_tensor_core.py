@@ -21,6 +21,7 @@ from nlops import (
     phase_vector,
     product_inner,
 )
+from nlops.cli import _subspace_gap
 
 
 def _random_product_state(rng, dims):
@@ -294,6 +295,42 @@ def test_nullspace_empty_and_zero_matrices():
 
     full = nullspace_real(np.zeros((2, 3)))
     assert full.shape == (3, 3)
+
+    # Every row of an all-zero matrix is dropped, so it has the full space, tall or not.
+    for rows in (2, 3, 9):
+        assert_array_equal(nullspace_real(np.zeros((rows, 3))), np.eye(3))
+
+
+def _low_rank(rng, rows, rank, cols):
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+def test_nullspace_ignores_exactly_zero_rows():
+    rng = np.random.default_rng(17)
+    for rows, rank, cols in [(4, 2, 9), (12, 5, 9), (40, 7, 16), (3, 3, 3)]:
+        a = _low_rank(rng, rows, rank, cols)
+        padded = np.zeros((3 * rows + 1, cols))
+        padded[1::3] = a  # zero rows before, between and after a's rows
+        want = nullspace_real(a)
+        got = nullspace_real(padded)
+        assert got.shape == want.shape == (cols, cols - rank)
+        assert _subspace_gap(got, want) <= 1e-12
+    # Only exact zeros go: a small row above the rank tolerance still constrains.
+    assert_array_equal(np.abs(nullspace_real(np.diag([1.0, 1e-8, 0.0]))), [[0.0], [0.0], [1.0]])
+
+
+@pytest.mark.parametrize("cols", [6, 12, 81])
+def test_nullspace_agrees_with_thin_svd_around_the_qr_crossover(cols):
+    rng = np.random.default_rng(cols)
+    crossover = cols * 11 // 6  # LAPACK dgesdd's MNTHR
+    rank = cols // 2
+    for rows in (crossover - 1, crossover, crossover + 1):
+        a = _low_rank(rng, rows, rank, cols)
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        want = vt[np.count_nonzero(s >= 1e-9 * s[0]):].T
+        got = nullspace_real(a)
+        assert got.shape == want.shape == (cols, cols - rank)
+        assert _subspace_gap(got, want) <= 1e-12
 
 
 def test_nullspace_rank_plus_nullity_and_residuals():
