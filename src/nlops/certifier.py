@@ -72,16 +72,22 @@ class Tolerances:
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalityReport:
-    """Pairwise overlap residuals |<a|b>| / (|a| |b|) for a state set."""
+    """Pairwise overlap residuals |<a|b>| / (|a| |b|) for a state set.
+
+    pairs is the read-only (k, 2) int32 array of the pairs a < b, ascending,
+    whose residual is nonzero, and residuals the read-only (k,) array of
+    those residuals.  Every pair not listed has a residual of exactly 0.
+    """
 
     passed: bool
     max_residual: float
+    pairs: np.ndarray
     residuals: np.ndarray
     tol: float
 
     def failing_pairs(self) -> list[tuple[int, int, float]]:
-        pairs = np.argwhere(np.triu(self.residuals > self.tol, 1))
-        return [(int(i), int(j), float(self.residuals[i, j])) for i, j in pairs]
+        fail = self.residuals > self.tol
+        return list(zip(*self.pairs[fail].T.tolist(), self.residuals[fail].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,34 +166,38 @@ def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
     """The pairs a < b, ascending, that are exactly orthogonal on at most one party.
 
     Each party's exact Gram zeros are expanded through its index column to
-    the m x m mask of the state pairs they hit.  The full np.triu_indices(m, 1)
-    is built only when no party has a zero, as then every pair is kept.
+    the m x m mask of the state pairs they hit.
     """
-    once = twice = None  # [a, b]: a and b exactly orthogonal on at least one, two parties
+    # [a, b]: a and b exactly orthogonal on at least one, two parties
+    once = np.zeros((len(index),) * 2, bool)
+    twice = np.zeros_like(once)
     for j, u in enumerate(units):
         zero = _gram(u).reshape(len(u), len(u)) == 0
-        if zero.any():
-            column = index[:, j]
-            hit = zero[:, column][column]  # rows gathered last: C-contiguous, fast to or
-            if once is None:
-                once, twice = hit, np.zeros_like(hit)
-            else:
-                twice |= once & hit
-                once |= hit
-    if once is None:
-        return np.triu_indices(len(index), 1)
+        column = index[:, j]
+        hit = zero[:, column][column]  # rows gathered last: C-contiguous, fast to or
+        twice |= once & hit
+        once |= hit
     del once
     return np.nonzero(np.triu(~twice, 1))
 
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:
-    """Relative overlap residual for every unordered pair; pass iff all are <= tol."""
+    """Relative overlap residual for every unordered pair; pass iff all are <= tol.
+
+    The report lists the table's pairs with a nonzero residual.  A pair the
+    table leaves out, or whose residual product has an exact 0.0 factor, has
+    a residual of exactly 0.
+    """
     check_tolerance("tol", tol)
     iu, jv, _, others = _pair_overlaps(state_set)
-    residuals = np.zeros((len(state_set),) * 2)
-    residuals[iu, jv] = residuals[jv, iu] = others[-1]
+    nonzero = others[-1] != 0
+    pairs = np.empty((np.count_nonzero(nonzero), 2), np.int32)  # m < 2**31: _check_pair_count
+    pairs[:, 0] = iu[nonzero]  # each gather freed before the next array is allocated
+    pairs[:, 1] = jv[nonzero]
+    residuals = others[-1][nonzero]
+    pairs.flags.writeable = residuals.flags.writeable = False
     max_residual = float(residuals.max(initial=0.0))
-    return OrthogonalityReport(max_residual <= tol, max_residual, residuals, tol)
+    return OrthogonalityReport(max_residual <= tol, max_residual, pairs, residuals, tol)
 
 
 def _active_codes(state_set: StateSet, party: int, tol_active: float):
@@ -231,7 +241,8 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     each basis operator to that factor, and keeps ALL unordered pairs with
     no activity filtering.  Refuses composite dimensions above
     MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more than
-    MAX_OVERLAP_ENTRIES entries m(m-1)/2 * d^2 in each per-pair array.
+    MAX_OVERLAP_ENTRIES entries (m d)^2 in its Gram, which is always at least
+    twice as large as each per-pair array, m(m-1)/2 * d^2 entries.
     """
     party = _check_party(state_set.n_parties, party)
     total = prod(state_set.dims)
@@ -242,9 +253,9 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)
     m = len(state_set)
-    if m * (m - 1) // 2 * d * d > MAX_OVERLAP_ENTRIES:
+    if (m * d) ** 2 > MAX_OVERLAP_ENTRIES:
         raise ValueError(f"too-large: {m} states of local dimension {d} exceed "
-                         f"{MAX_OVERLAP_ENTRIES} pair-overlap entries")
+                         f"{MAX_OVERLAP_ENTRIES} oracle Gram entries")
     if m < 2:
         return np.zeros((0, d * d))
     full, norms = _full_vectors(state_set)

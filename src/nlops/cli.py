@@ -271,13 +271,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; any command's OSError or ValueError is one error line and exit 2."""
+    """Run one command; a refusal is one error line on stderr and exit 2.
+
+    An OSError or ValueError from any command is printed as it is, and a
+    MemoryError (an allocation numpy refuses) as too-large.
+    """
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        print(f"error: too-large: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -41,15 +41,14 @@ MAX_LOCAL_DIM = 64
 # Most pair-overlap entries a set's table may have, n_parties * m(m-1)/2, which
 # generation checks too: the real table and its build rows take 16 bytes per
 # entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
-# pair indices, the gathered codes and the dense m x m residuals come on top,
-# so when no pair drops the orthogonality check peaks at about 27 bytes per
-# entry (2000 copies of one (2, 2) state: 4M entries, max RSS +108 MB).  Pairs
-# exactly orthogonal on two parties are left out of the table; finding them
-# takes boolean m x m masks, half the residuals' size and freed before them,
-# so the residuals are most of what is left: product_basis((64, 64)) peaks at
-# 8.5 bytes per entry (16.8M entries, +143 MB), product_basis((2,) * 11) at
-# 1.6 (23.1M, +37 MB).
-# The same bound caps the m(m-1)/2 * d^2 entries of each per-pair oracle array.
+# pair indices, the gathered codes and the report's list of nonzero residuals
+# come on top, so when no pair drops the orthogonality check peaks at about 29
+# bytes per entry (2000 copies of one (2, 2) state: 4M entries, max RSS
+# +109 MiB).  Pairs exactly orthogonal on two parties are left out of the
+# table; the boolean m x m masks that find them are most of what is left:
+# product_basis((64, 64)) peaks at 5.0 bytes per entry (16.8M entries,
+# +81 MiB), product_basis((2,) * 11) at 0.9 (23.1M, +20 MiB).
+# The same bound caps the (m d)^2 entries of the oracle's Gram.
 MAX_OVERLAP_ENTRIES = 2**26
 
 

@@ -195,11 +195,22 @@ def test_brute_force_refuses_large_composites():
 
 
 def test_brute_force_refuses_too_many_states():
-    # Within the overlap-table bound, but each per-pair oracle array would hold
-    # 5800 * 5799 / 2 * 2**2 entries, more than MAX_OVERLAP_ENTRIES.
+    # Within the overlap-table bound, but the oracle's Gram would hold
+    # (5800 * 2)**2 entries, more than MAX_OVERLAP_ENTRIES.
     copies = StateSet((2, 2), (ProductState((basis_vector(2, 0), basis_vector(2, 1))),) * 5800)
     with pytest.raises(ValueError, match="too-large: 5800 states of local dimension 2"):
         brute_force_constraints(copies, 0)
+
+
+def test_brute_force_counts_its_gram_before_building_any_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full vectors must not be built for a refused set")
+
+    # Composite dimension 3072: the Gram holds (3072 * 3)**2 = 84.9M entries, more than
+    # MAX_OVERLAP_ENTRIES, though each per-pair array holds only 3072 * 3071 / 2 * 9 = 42.5M.
+    monkeypatch.setattr(certifier, "_full_vectors", refuse)
+    with pytest.raises(ValueError, match="too-large: 3072 states of local dimension 3"):
+        brute_force_constraints(product_basis((3, 32, 32)), 0)
 
 
 def _per_pair_kron_rows(state_set, party):
@@ -518,11 +529,14 @@ def test_assembly_matches_scalar_activity_and_residuals(state_set):
     tol = Tolerances()
     states, n = state_set.states, state_set.n_parties
     pairs = [(a, b) for a in range(len(states)) for b in range(a + 1, len(states))]
-    residuals = check_pairwise_orthogonality(state_set, tol.tol_orth).residuals
+    report = check_pairwise_orthogonality(state_set, tol.tol_orth)
+    listed = dict(zip(map(tuple, report.pairs.tolist()), report.residuals.tolist()))
     for a, b in pairs:
         want = abs(product_inner(states[a], states[b])) / (states[a].norm * states[b].norm)
-        assert abs(residuals[a, b] - want) <= 1e-15
-        assert residuals[b, a] == residuals[a, b]
+        if (a, b) in listed:
+            assert abs(listed[a, b] - want) <= 1e-15
+        else:
+            assert want == 0.0
     for k in (0, n // 2, n - 1):
         active = [(a, b) for a, b in pairs
                   if abs(partial_inner_excluding(states[a], states[b], k))
@@ -544,11 +558,48 @@ def test_overlap_table_is_not_shared_between_sets():
     again = certify_nonlocal(s)
     assert first.verdict == again.verdict == "CERTIFIED_NONLOCAL"
     assert again.orthogonality.max_residual == first.orthogonality.max_residual
-    np.testing.assert_array_equal(again.orthogonality.residuals, first.orthogonality.residuals)
+    assert_array_equal(again.orthogonality.pairs, first.orthogonality.pairs)
+    assert_array_equal(again.orthogonality.residuals, first.orthogonality.residuals)
     assert [(p.active_pairs, p.solution_dim, p.trivial) for p in again.parties] == [
         (p.active_pairs, p.solution_dim, p.trivial) for p in first.parties]
     iu, jv, units, g = certifier._pair_overlaps(s)
     assert not any(a.flags.writeable for a in (iu, jv, g, *units))
+
+
+def _dense_residuals(state_set):
+    """Every pair's residual as an m x m matrix: one Gram product per party over
+    its normalized table, gathered for all pairs and multiplied party by party."""
+    units = certifier._pair_overlaps(state_set)[2]
+    dense = np.ones((len(state_set),) * 2)
+    for j, u in enumerate(units):
+        column = state_set.index[:, j]
+        dense = dense * np.abs(u.conj() @ u.T)[np.ix_(column, column)]
+    return np.triu(dense, 1)
+
+
+@pytest.mark.parametrize(
+    "state_set",
+    [*sweep_sets(), _with_duplicate(theorem2_set(3, 2)),
+     StateSet((2, 3), (ProductState((basis_vector(2, 1), np.ones(3))),) * 6, label="copies"),
+     product_basis((2, 3, 4)), product_basis((32, 32))],
+    ids=lambda s: s.label,
+)
+def test_orthogonality_report_lists_every_nonzero_residual(state_set):
+    tol = 1e-10
+    report = check_pairwise_orthogonality(state_set, tol)
+    dense = _dense_residuals(state_set)
+    assert report.max_residual == float(dense.max())
+    assert report.passed == (dense.max() <= tol)
+    assert report.failing_pairs() == [
+        (int(a), int(b), float(dense[a, b])) for a, b in np.argwhere(dense > tol)]
+    m = len(state_set)
+    assert report.pairs.dtype == np.int32 and report.pairs.shape == (report.residuals.size, 2)
+    a, b = report.pairs.T
+    assert (a < b).all() and (np.diff(a.astype(np.int64) * m + b) > 0).all()
+    assert report.residuals.tobytes() == dense[a, b].tobytes()
+    assert (report.residuals != 0).all()
+    assert np.count_nonzero(dense) == report.residuals.size
+    assert not report.pairs.flags.writeable and not report.residuals.flags.writeable
 
 
 def _jittered(s, seed=7):
@@ -593,7 +644,8 @@ def test_table_keeps_exactly_the_pairs_orthogonal_on_at_most_one_party(state_set
 @pytest.mark.parametrize("state_set, limit_mib", [
     (theorem1_set(40, 4), 4),  # a table over all pairs peaks at about 18 MiB
     (product_basis((2,) * 9), 6),  # and here at about 21 MiB
-], ids=["theorem1_set(40, 4)", "product_basis((2,) * 9)"])
+    (product_basis((32, 32)), 7),  # a dense m x m report peaks at about 9.3 MiB
+], ids=["theorem1_set(40, 4)", "product_basis((2,) * 9)", "product_basis((32, 32))"])
 def test_cold_orthogonality_check_allocates_little_for_exactly_orthogonal_pairs(
         state_set, limit_mib):
     certifier._pair_overlaps.cache_clear()

@@ -95,6 +95,16 @@ def test_every_command_reaches_the_one_error_exit(tmp_path, capsys, monkeypatch,
     assert (captured.out, captured.err) == ("", f"error: {exc}\n")
 
 
+def test_certify_allocation_numpy_refuses_is_one_too_large_line(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array the host will not give.
+    state_file = tmp_path / "t2.json"
+    dump_state_set(theorem2_set(3, 2), state_file)
+    monkeypatch.setattr(cli, "certify_nonlocal", _raise(MemoryError("Unable to allocate 7.88 GiB")))
+    assert main(["certify", str(state_file)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: too-large: Unable to allocate 7.88 GiB\n")
+
+
 def test_generate_rejects_unequal_dims_for_theorem1(tmp_path, capsys):
     code = main(["generate", "--theorem", "1", "--dims", "2,3,2",
                  "--out", str(tmp_path / "x.json")])

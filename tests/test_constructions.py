@@ -252,3 +252,4 @@ def test_product_basis():
     assert len(pb) == 6
     report = check_pairwise_orthogonality(pb)
     assert report.passed
+    assert report.pairs.shape == (0, 2)  # every pair is exactly orthogonal

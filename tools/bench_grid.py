@@ -18,11 +18,12 @@ set as ``dump_state_set`` writes it, the same document re-encoded compactly
 by ``json.dumps``, and the rescaled set.  For each
 grid case and each set of ADVERSARIAL it times a cold
 ``check_pairwise_orthogonality`` (best of REPEAT, the cached pair-overlap
-table cleared first) and records its tracemalloc peak and the share of pairs
-left out of the table.  Every certificate's verdict and per-party
-``(solution_dim, trivial, active_pairs)`` go into the record, so two records
-can be checked for equal results.  BLAS runs on one thread, as in perfbench,
-set before numpy is imported.
+table cleared first), and records in one more cold run its tracemalloc peak,
+the memory still allocated when it returns (its report and the cached table)
+and the share of pairs left out of the table.  Every certificate's verdict
+and per-party ``(solution_dim, trivial, active_pairs)`` go into the record,
+so two records can be checked for equal results.  BLAS runs on one thread, as
+in perfbench, set before numpy is imported.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ADVERSARIAL = [
     "product_basis((64, 64))",
     "product_basis((2,) * 11)",
+    "product_basis((32, 32))",
     "StateSet((2, 2), (ProductState((basis_vector(2, 0), basis_vector(2, 1))),) * 2000)",
 ]
 
@@ -111,31 +113,32 @@ def _load_record(case, state_set, rescaled):
 
 
 def _pairs_record(case, state_set):
-    """Cold orthogonality check of one set: best time, tracemalloc peak, pairs left out."""
+    """Cold orthogonality check of one set: best time, tracemalloc peak and memory
+    held on return, pairs left out."""
     import tracemalloc
     from nlops import certifier
 
     def cold():
         certifier._pair_overlaps.cache_clear()
-        report = certifier.check_pairwise_orthogonality(state_set)
-        return report.passed, report.max_residual
+        return certifier.check_pairwise_orthogonality(state_set)
 
     times = []
     for _ in range(REPEAT):
         start = time.perf_counter()
-        passed, max_residual = cold()
+        cold()
         times.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
-        cold()
-        _, peak = tracemalloc.get_traced_memory()
+        report = cold()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     pairs = len(state_set) * (len(state_set) - 1) // 2
     kept = certifier._pair_overlaps(state_set)[0].size
     return {"case": case, "m": len(state_set), "pairs": pairs, "best_s": min(times),
-            "peak_mib": peak / 2**20, "dropped_share": 1 - kept / pairs if pairs else 0.0,
-            "passed": passed, "max_residual": max_residual}
+            "peak_mib": peak / 2**20, "held_mib": held / 2**20,
+            "dropped_share": 1 - kept / pairs if pairs else 0.0,
+            "passed": report.passed, "max_residual": report.max_residual}
 
 
 def main() -> int:
