@@ -200,13 +200,20 @@ def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> Ort
     return OrthogonalityReport(max_residual <= tol, max_residual, pairs, residuals, tol)
 
 
+@lru_cache(maxsize=1)
 def _active_codes(state_set: StateSet, party: int, tol_active: float):
     """Table rows (ia, jb) the party's local vectors take in each pair a < b
-    whose normalized overlap product over the other parties exceeds tol_active."""
+    whose normalized overlap product over the other parties exceeds tol_active.
+
+    Both arrays are read-only.  Cached for the last party: certify_nonlocal's
+    sharing key and the party's constraint rows read one computation.
+    """
     iu, jv, _, others = _pair_overlaps(state_set)
     active = others[party] > tol_active
     column = state_set.index[:, party]
-    return column[iu[active]], column[jv[active]]
+    ia, jb = column[iu[active]], column[jv[active]]
+    ia.flags.writeable = jb.flags.writeable = False
+    return ia, jb
 
 
 def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e-10) -> np.ndarray:

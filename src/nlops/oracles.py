@@ -68,6 +68,8 @@ def det_cofactor(a) -> complex:
     n = m.shape[0]
     if n > _MAX_COFACTOR_N:
         raise ValueError(f"too-large: cofactor expansion capped at {_MAX_COFACTOR_N}x{_MAX_COFACTOR_N}")
+    if n == 0:  # the empty product
+        return 1.0 + 0.0j
     if n == 1:
         return complex(m[0, 0])
     out = 0.0 + 0.0j

@@ -17,6 +17,7 @@ import json
 import marshal
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 
@@ -278,11 +279,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "format_version": FORMAT_VERSION,
         "label": cert.label,
         "dims": list(cert.dims),
-        "tolerances": {
-            "tol_rank": cert.tolerances.tol_rank,
-            "tol_active": cert.tolerances.tol_active,
-            "tol_orth": cert.tolerances.tol_orth,
-        },
+        "tolerances": asdict(cert.tolerances),
         "orthogonality": {
             "pass": cert.orthogonality.passed,
             "max_residual": cert.orthogonality.max_residual,

@@ -162,7 +162,9 @@ class StateSet:
     at party j, and the read-only (m, n) array index says which one each
     state holds: vectors[j][index[i, j]].  The families reuse a few local
     vectors many times, so the table is much smaller than the states, which
-    are built from it only when first asked for.  Instances are immutable.
+    are built from it only when first asked for.  Parties whose tables are
+    equal, shape included, share one array, checked once.  Instances are
+    immutable.
     """
 
     def __init__(self, dims, states, label: str = ""):
@@ -187,7 +189,8 @@ class StateSet:
 
         The arrays are copied and checked as every set's table is: per party
         one (k_j, d_j) array of finite local vectors with a nonzero amplitude
-        each, pairwise byte-distinct, each held by some state.
+        each, pairwise byte-distinct, each held by some state.  Equal tables
+        are copied once and their parties share the copy.
         """
         state_set = object.__new__(cls)
         state_set._set_table(_checked_dims(dims), vectors, index, label)
@@ -202,22 +205,27 @@ class StateSet:
         if len(vectors) != len(dims) or index.ndim != 2 or index.shape[1] != len(dims):
             raise ValueError(f"bad-table: need one vector table and one index column "
                              f"per party of {dims}")
-        tables = []
+        tables, checked = [], {}  # a table's (shape, bytes) -> its first holder's array
         for j, (table, d) in enumerate(zip(vectors, dims)):
             table = np.array(table, dtype=np.complex128)
             if table.ndim != 2 or table.shape[1] != d:
                 raise ValueError(f"dim-mismatch: party {j} table has shape {table.shape}, "
                                  f"not (k, {d})")
-            _check_local_vectors(table.ravel(), np.arange(0, table.size, d))
+            key = (table.shape, table.tobytes())
+            first = checked.get(key)
+            if first is None:
+                _check_local_vectors(table.ravel(), np.arange(0, table.size, d))
             column, k = index[:, j], len(table)
             if not ((column >= 0) & (column < k)).all():
                 raise ValueError(f"bad-table: party {j} index out of range")
             if not np.bincount(column, minlength=k).all():
                 raise ValueError(f"bad-table: party {j} table holds a vector no state uses")
-            if len({row.tobytes() for row in table}) != k:
-                raise ValueError(f"bad-table: party {j} table repeats a vector")
-            table.flags.writeable = False
-            tables.append(table)
+            if first is None:
+                if len({row.tobytes() for row in table}) != k:
+                    raise ValueError(f"bad-table: party {j} table repeats a vector")
+                table.flags.writeable = False
+                first = checked[key] = table
+            tables.append(first)
         index.flags.writeable = False
         for name, value in (("dims", dims), ("vectors", tuple(tables)), ("index", index),
                             ("label", label), ("_states", None)):
@@ -381,14 +389,13 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a real matrix.
 
     Rank is decided by SVD: singular values below tol_rank times the largest
-    one (or times 1 for a zero matrix) count as zero.  Rows that are exactly
-    zero are dropped first, which changes no null space; a matrix with no
-    other row has the full space as its null space.  The SVD is thin, so a
-    tall matrix gets no square U and memory beyond the cols x cols vt is
-    O(rows * cols).  A matrix at least as tall as LAPACK dgesdd's own QR
-    crossover (MNTHR, cols * 11 // 6 rows) is first reduced to the cols x cols
-    R of its QR factorization, as dgesdd itself reduces it, so that its thin
-    U is not formed either.
+    one count as zero.  Rows that are exactly zero are dropped first, which
+    changes no null space; a matrix with no other row has the full space as
+    its null space.  The SVD is thin, so a tall matrix gets no square U and
+    memory beyond the cols x cols vt is O(rows * cols).  A matrix at least as
+    tall as LAPACK dgesdd's own QR crossover (MNTHR, cols * 11 // 6 rows) is
+    first reduced to the cols x cols R of its QR factorization, as dgesdd
+    itself reduces it, so that its thin U is not formed either.
     """
     check_tolerance("tol_rank", tol_rank)
     if np.iscomplexobj(a):  # casting would drop the imaginary parts
@@ -409,9 +416,5 @@ def nullspace_real(a, tol_rank: float = 1e-9) -> np.ndarray:
         a = np.linalg.qr(a, mode="r")
     # A wide matrix needs the full vt, whose last rows span its null space.
     _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
-    smax = float(s[0])
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s >= tol_rank * smax))
+    rank = int(np.count_nonzero(s >= tol_rank * s[0]))  # s[0] > 0: every row is nonzero
     return vt[rank:].T.copy()

@@ -683,6 +683,16 @@ def test_homogeneous_family_solves_three_distinct_parties(monkeypatch, n):
     assert cert.verdict == "CERTIFIED_NONLOCAL"
 
 
+def test_certificate_computes_each_partys_active_codes_once():
+    # Each party's sharing key fills the cache; a solved party's rows read it.
+    certifier._active_codes.cache_clear()
+    certify_nonlocal(theorem1_set(20, 4))
+    info = certifier._active_codes.cache_info()
+    assert (info.misses, info.hits) == (20, 3)
+    ia, jb = certifier._active_codes(theorem1_set(3, 4), 0, Tolerances().tol_active)
+    assert not ia.flags.writeable and not jb.flags.writeable
+
+
 def _assert_reports_equal_own_solves(state_set):
     """Every PartyReport of the certificate is, to the byte, the party's own solve."""
     tol = Tolerances()
@@ -762,6 +772,7 @@ def test_equal_table_bytes_in_different_shapes_are_solved_apart(monkeypatch):
     s = StateSet.from_table((4, 2, 4), [flat.reshape(2, 4), flat.reshape(4, 2), np.eye(4)],
                             index)
     assert s.vectors[0].tobytes() == s.vectors[1].tobytes()
+    assert s.vectors[0] is not s.vectors[1]  # equal bytes, different tables
     for k in (0, 1):
         ia, jb = certifier._active_codes(s, k, Tolerances().tol_active)
         assert (ia.tolist(), (ia * len(s.vectors[k]) + jb).tolist()) == ([0], [1])

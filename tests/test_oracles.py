@@ -39,6 +39,14 @@ def test_vandermonde_det_examples():
     assert vandermonde_det([]) == 1
 
 
+def test_empty_determinant_is_the_empty_product():
+    assert det_cofactor(np.zeros((0, 0))) == vandermonde_det([]) == 1
+
+
+def test_cramer_solves_the_empty_system():
+    assert cramer_solve(np.zeros((0, 0)), []).shape == (0,)
+
+
 def test_vandermonde_det_matches_cofactor_expansion():
     rng = np.random.default_rng(3)
     for n in range(1, 7):

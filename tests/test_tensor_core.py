@@ -20,6 +20,7 @@ from nlops import (
     partial_inner_excluding,
     phase_vector,
     product_inner,
+    theorem1_set,
 )
 from nlops.cli import _subspace_gap
 
@@ -209,6 +210,32 @@ def test_state_set_from_table_copies_its_input():
     assert not any(f.flags.writeable for f in (ss.index, *ss.vectors))
 
 
+def test_parties_with_equal_tables_share_one_array():
+    vectors = theorem1_set(40, 4).vectors
+    assert all(v is vectors[0] for v in vectors)
+    assert not vectors[0].flags.writeable
+
+
+def test_from_table_stores_one_copy_of_a_table_given_twice():
+    table = _BOTH.copy()
+    ss = StateSet.from_table((2, 2), [table, table], [[0, 1], [1, 0]])
+    assert ss.vectors[0] is ss.vectors[1]
+    assert not np.shares_memory(ss.vectors[0], table)
+    assert not ss.vectors[0].flags.writeable
+
+
+@pytest.mark.parametrize("vectors, index, error", [
+    ((_ONE, np.vstack([_ONE, _ONE]), np.vstack([_ONE, _ONE])), [[0, 0, 0], [0, 1, 1]],
+     "bad-table: party 1 table repeats a vector"),
+    ((_BOTH, _BOTH, _ONE), [[0, 0, 0], [1, 2, 0]], "bad-table: party 1 index out of range"),
+    ((_BOTH, _BOTH, _ONE), [[0, 0, 0], [1, 0, 0]],
+     "bad-table: party 1 table holds a vector no state uses"),
+], ids=["repeat", "range", "usage"])
+def test_a_shared_table_is_refused_at_the_party_at_fault(vectors, index, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        StateSet.from_table((2, 2, 2), vectors, index)
+
+
 # ---------------------------------------------------------------------------
 # hermitian basis and coordinates
 # ---------------------------------------------------------------------------
@@ -299,6 +326,13 @@ def test_nullspace_empty_and_zero_matrices():
     # Every row of an all-zero matrix is dropped, so it has the full space, tall or not.
     for rows in (2, 3, 9):
         assert_array_equal(nullspace_real(np.zeros((rows, 3))), np.eye(3))
+
+
+def test_nullspace_of_subnormal_rows():
+    # A kept row has a nonzero entry, so even subnormal rows have a positive
+    # largest singular value and count toward the rank.
+    assert nullspace_real([[5e-324, 0.0]]).shape == (2, 1)
+    assert nullspace_real(np.full((3, 4), 1e-310)).shape == (4, 3)
 
 
 def _low_rank(rng, rows, rank, cols):

@@ -6,16 +6,16 @@
 It times ``certify_nonlocal`` on the ``theorem1_set`` grid and on each
 grid set with every local vector of every state rescaled by its own complex
 scalar, so that no vector repeats and no two parties share a solve (best of
-REPEAT runs, each with the cached pair-overlap table cleared first, so every
-run builds it as a first certificate does; a case stops repeating once it has
-used CASE_BUDGET_S seconds),
+REPEAT runs, each with the cached pair-overlap table and active codes cleared
+first, so every run builds them as a first certificate does; a case stops
+repeating once it has used CASE_BUDGET_S seconds),
 ``nlops selftest`` end to end in-process (best of REPEAT),
 and the time spent inside ``nullspace_real`` and ``brute_force_constraints``
 during one more selftest.  Both functions call no other nlops function that
 does real work, so that time is their self time.  It also times
-``loads_state_set`` (best of LOAD_REPEAT) on three files per grid case: the
-set as ``dump_state_set`` writes it, the same document re-encoded compactly
-by ``json.dumps``, and the rescaled set.  For each
+``theorem1_set`` itself and ``loads_state_set`` on three files per grid case
+(best of LOAD_REPEAT each): the set as ``dump_state_set`` writes it, the same
+document re-encoded compactly by ``json.dumps``, and the rescaled set.  For each
 grid case and each set of ADVERSARIAL it times a cold
 ``check_pairwise_orthogonality`` (best of REPEAT, the cached pair-overlap
 table cleared first), and records in one more cold run its tracemalloc peak,
@@ -63,13 +63,22 @@ def _timed(func, totals, key):
     return wrapper
 
 
-def _best_load_s(loads, text):
+def _best_s(func, *args):
+    """Best of LOAD_REPEAT timed calls of func(*args)."""
     times = []
     for _ in range(LOAD_REPEAT):
         start = time.perf_counter()
-        loads(text)
+        func(*args)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def _clear_set_caches(certifier):
+    """Clear the certifier's caches of the last set: its pair-overlap table and
+    its active codes, which an older checkout does not cache."""
+    for cached in (certifier._pair_overlaps, certifier._active_codes):
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
 
 
 def _rescaled(state_set):
@@ -90,7 +99,7 @@ def _certify_record(case, state_set):
 
     times = []
     while len(times) < REPEAT and sum(times) < CASE_BUDGET_S:
-        certifier._pair_overlaps.cache_clear()
+        _clear_set_caches(certifier)
         start = time.perf_counter()
         cert = certifier.certify_nonlocal(state_set)
         times.append(time.perf_counter() - start)
@@ -107,7 +116,7 @@ def _load_record(case, state_set, rescaled):
     files = {"written": written, "compact": json.dumps(json.loads(written)),
              "rescaled": dumps_state_set(rescaled)}
     return {"case": case, "bytes": len(written),
-            **{f"{name}_s": _best_load_s(loads_state_set, text) for name, text in files.items()},
+            **{f"{name}_s": _best_s(loads_state_set, text) for name, text in files.items()},
             "roundtrip": all(dumps_state_set(loads_state_set(files[name])) == files[name]
                              for name in ("written", "rescaled"))}
 
@@ -119,7 +128,7 @@ def _pairs_record(case, state_set):
     from nlops import certifier
 
     def cold():
-        certifier._pair_overlaps.cache_clear()
+        _clear_set_caches(certifier)
         return certifier.check_pairwise_orthogonality(state_set)
 
     times = []
@@ -172,11 +181,12 @@ def main() -> int:
         rescaled = _rescaled(state_set)
         record["certify"].append(_certify_record(case, state_set))
         record["certify"].append(_certify_record(f"rescaled {case}", rescaled))
-        record["load"].append(_load_record(case, state_set, rescaled))
+        record["load"].append({**_load_record(case, state_set, rescaled),
+                               "gen_s": _best_s(theorem1_set, n, d)})
         record["pairs"].append(_pairs_record(case, state_set))
     for case in ADVERSARIAL:
         record["pairs"].append(_pairs_record(case, eval(case, vars(nlops))))
-    certifier._pair_overlaps.cache_clear()
+    _clear_set_caches(certifier)
 
     def selftest():
         with contextlib.redirect_stdout(io.StringIO()) as out:
