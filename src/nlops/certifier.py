@@ -14,6 +14,8 @@ all parties but one, for each party, and over all parties.
 brute_force_constraints recomputes the same constraint rows from explicit
 full vectors in the composite space, over all pairs and with no activity
 filtering, and serves as the independent cross-check of the factorized path.
+A pair whose overlap with the party's factor left open is exactly zero is
+still listed, as rows of exact zeros, and never multiplied by the basis.
 """
 
 from __future__ import annotations
@@ -127,24 +129,27 @@ def _pair_overlaps(state_set: StateSet):
     """One read-only table per state set: what each pair's overlaps decide.
 
     Returns (iu, jv, units, others): the kept pairs a < b in ascending order,
-    each party's table of distinct local vectors normalized, and for pair
-    p = (iu[p], jv[p]) the products of the normalized magnitudes |<u_a|u_b>|,
-    others[j, p] over every party except j and others[n, p] over all n
-    parties (the pair's orthogonality residual).  Each party's magnitudes
-    come from one Gram product of its k distinct vectors, gathered for every
-    pair by index.  A pair exactly orthogonal on two or more parties has an
-    exact 0.0 factor in every product, all of them +0.0, so it is left out:
-    it neither constrains any party nor adds to the residual.
+    as int32 indices (m <= 8192: _check_pair_count), each party's table of
+    distinct local vectors normalized, and for pair p = (iu[p], jv[p]) the
+    products of the normalized magnitudes |<u_a|u_b>|, others[j, p] over
+    every party except j and others[n, p] over all n parties (the pair's
+    orthogonality residual).  Each party's magnitudes come from one Gram
+    product of its k distinct vectors, gathered for every pair by index;
+    consecutive parties that hold one shared table array share its
+    normalized copy and its Gram.  A pair exactly orthogonal on two or more
+    parties has an exact 0.0 factor in every product, all of them +0.0, so
+    it is left out: it neither constrains any party nor adds to the residual.
     Cached for the last set: its orthogonality check and every party's assembly.
     """
     m, n = len(state_set), state_set.n_parties
     _check_pair_count(m, n)
-    units = tuple(v / np.linalg.norm(v, axis=1)[:, None] for v in state_set.vectors)
+    units = tuple(_per_run(lambda v: v / np.linalg.norm(v, axis=1)[:, None], state_set.vectors))
     iu, jv = _kept_pairs(state_set.index, units)
     mags = np.empty((n, iu.size))
+    grams = _per_run(_gram, units)
     for j, u in enumerate(units):
         column = state_set.index[:, j]
-        np.take(_gram(u), column[iu] * len(u) + column[jv], out=mags[j])
+        np.take(next(grams), column[iu] * len(u) + column[jv], out=mags[j])
     others = np.empty((n + 1, iu.size))
     others[0] = 1.0
     for j in range(n):  # others[j]: parties before j
@@ -162,6 +167,22 @@ def _gram(u: np.ndarray) -> np.ndarray:
     return np.abs(u.conj() @ u.T).ravel()
 
 
+def _per_run(func, arrays):
+    """func(a) for each array, computed once per run of consecutive parties
+    that hold the same array object.  Only the last result is held: n Grams
+    could take 16 bytes per table entry on sets with no repeated vector.  It
+    is let go before the next is computed, so that a caller that does not
+    bind it lets the allocator reuse its memory: a Gram held past the next
+    one's allocation cost a cold rescaled theorem1_set(40, 4) table 8643 page
+    faults and 1.6 times its time."""
+    last = out = None
+    for a in arrays:
+        if a is not last:
+            out = None
+            last, out = a, func(a)
+        yield out
+
+
 def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
     """The pairs a < b, ascending, that are exactly orthogonal on at most one party.
 
@@ -171,14 +192,17 @@ def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
     # [a, b]: a and b exactly orthogonal on at least one, two parties
     once = np.zeros((len(index),) * 2, bool)
     twice = np.zeros_like(once)
+    grams = _per_run(_gram, units)
     for j, u in enumerate(units):
-        zero = _gram(u).reshape(len(u), len(u)) == 0
+        zero = next(grams).reshape(len(u), len(u)) == 0
         column = index[:, j]
         hit = zero[:, column][column]  # rows gathered last: C-contiguous, fast to or
         twice |= once & hit
         once |= hit
     del once
-    return np.nonzero(np.triu(~twice, 1))
+    keep = np.triu(~twice, 1)
+    ids = np.arange(len(index), dtype=np.int32)  # masked in C order, as np.nonzero lists
+    return np.broadcast_to(ids[:, None], keep.shape)[keep], np.broadcast_to(ids, keep.shape)[keep]
 
 
 def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> OrthogonalityReport:
@@ -246,7 +270,9 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     overlaps of all pairs with the party's tensor factor left open in one
     Gram product over the columns that two or more states share, applies
     each basis operator to that factor, and keeps ALL unordered pairs with
-    no activity filtering.  Refuses composite dimensions above
+    no activity filtering.  A pair whose open-factor block of the Gram is
+    exactly zero is still listed, as two rows of exact zeros: it is never
+    multiplied by the basis.  Refuses composite dimensions above
     MAX_BRUTE_FORCE_DIM, local dimensions above MAX_LOCAL_DIM, and more than
     MAX_OVERLAP_ENTRIES entries (m d)^2 in its Gram, which is always at least
     twice as large as each per-pair array, m(m-1)/2 * d^2 entries.
@@ -266,20 +292,23 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     if m < 2:
         return np.zeros((0, d * d))
     full, norms = _full_vectors(state_set)
-    psi = np.moveaxis(full.reshape((m,) + state_set.dims), party + 1, 1).reshape(m, d, -1)
-    # A column nonzero for at most one state adds only to that state's own
-    # block c[a, :, a, :], which no pair a < b reads.
-    shared = np.count_nonzero(psi.any(axis=1), axis=0) >= 2
-    psi = psi[:, :, shared].reshape(m * d, -1)
+    # Column (l, j, r) of a full vector, with the party's factor at j, sits at
+    # (l d + j) right + r.  A column (l, r) nonzero for at most one state adds
+    # only to that state's own block c[a, :, a, :], which no pair a < b reads.
+    left, right = prod(state_set.dims[:party]), prod(state_set.dims[party + 1:])
+    shared = np.count_nonzero(full.reshape(m, left, d, right).any(axis=2), axis=0).ravel() >= 2
+    columns = np.arange(total).reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
+    psi = full[:, columns[:, shared]].reshape(m * d, -1)
     # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
     c = (psi.conj() @ psi.T).reshape(m, d, m, d)
     iu, jv = np.triu_indices(m, 1)
-    w = c[iu, :, jv, :].reshape(iu.size, d * d)
-    values = w @ basis.T
-    values /= (norms[iu] * norms[jv])[:, None]
-    rows = np.empty((2 * iu.size, d * d))
-    rows[0::2] = values.real
-    rows[1::2] = values.imag
+    live = np.flatnonzero(c.any(axis=1).any(axis=-1)[iu, jv])  # the rest stay rows of +0.0
+    a, b = iu[live], jv[live]
+    values = c[a, :, b, :].reshape(live.size, d * d) @ basis.T
+    values /= (norms[a] * norms[b])[:, None]
+    rows = np.zeros((2 * iu.size, d * d))
+    rows[2 * live] = values.real
+    rows[2 * live + 1] = values.imag
     return rows
 
 
@@ -287,14 +316,16 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
 def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
     """Every state's full vector, one per row, and its norm, both read-only.
 
-    Row a is built party by party as reduce(np.kron, factors) of state a.
+    Each state's factors are concatenated once; row a is then built party by
+    party, left to right, as reduce(np.kron, factors) of state a.
     Cached for the last set, whose oracle runs once per party.
     """
     m = len(state_set)
-    full = np.stack([s.factors[0] for s in state_set])
-    for j in range(1, state_set.n_parties):
-        local = np.stack([s.factors[j] for s in state_set])
-        full = (full[:, :, None] * local[:, None, :]).reshape(m, -1)
+    flat = np.concatenate([f for s in state_set for f in s.factors]).reshape(m, -1)
+    ends = np.cumsum(state_set.dims)
+    full = flat[:, :ends[0]]
+    for start, end in zip(ends[:-1], ends[1:]):
+        full = (full[:, :, None] * flat[:, None, start:end]).reshape(m, -1)
     norms = np.linalg.norm(full, axis=1)
     for a in (full, norms):
         a.flags.writeable = False

@@ -70,13 +70,18 @@ def det_cofactor(a) -> complex:
         raise ValueError(f"too-large: cofactor expansion capped at {_MAX_COFACTOR_N}x{_MAX_COFACTOR_N}")
     if n == 0:  # the empty product
         return 1.0 + 0.0j
-    if n == 1:
-        return complex(m[0, 0])
+    return _det_rows(m.tolist())
+
+
+def _det_rows(rows: list) -> complex:
+    """det_cofactor on a nested list of Python complex numbers, n >= 1."""
+    if len(rows) == 1:
+        return rows[0][0]
     out = 0.0 + 0.0j
     sign = 1.0
-    for j in range(n):
-        minor = np.delete(m[1:], j, axis=1)
-        out += sign * complex(m[0, j]) * det_cofactor(minor)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        out += sign * entry * _det_rows(minor)
         sign = -sign
     return out
 

@@ -42,9 +42,9 @@ MAX_LOCAL_DIM = 64
 # generation checks too: the real table and its build rows take 16 bytes per
 # entry together, 1 GiB at the bound.  No m x m Gram product is formed; the
 # pair indices, the gathered codes and the report's list of nonzero residuals
-# come on top, so when no pair drops the orthogonality check peaks at about 29
+# come on top, so when no pair drops the orthogonality check peaks at about 25
 # bytes per entry (2000 copies of one (2, 2) state: 4M entries, max RSS
-# +109 MiB).  Pairs exactly orthogonal on two parties are left out of the
+# +96 MiB).  Pairs exactly orthogonal on two parties are left out of the
 # table; the boolean m x m masks that find them are most of what is left:
 # product_basis((64, 64)) peaks at 5.0 bytes per entry (16.8M entries,
 # +81 MiB), product_basis((2,) * 11) at 0.9 (23.1M, +20 MiB).

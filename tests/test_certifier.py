@@ -24,8 +24,10 @@ from nlops import (
     certify_nonlocal,
     check_pairwise_orthogonality,
     coords_to_matrix,
+    dumps_state_set,
     hermitian_basis,
     hermitian_basis_flat,
+    loads_state_set,
     matrix_to_coords,
     nullspace_real,
     partial_inner_excluding,
@@ -214,18 +216,22 @@ def test_brute_force_counts_its_gram_before_building_any_vector(monkeypatch):
 
 
 def _per_pair_kron_rows(state_set, party):
-    """The oracle's rows rebuilt state by state and pair by pair, with np.kron."""
+    """The oracle's rows rebuilt state by state and pair by pair, with np.kron,
+    and for each pair whether its block <phi_a|(|j><p| on the party)|phi_b> is
+    exactly zero."""
     d = state_set.dims[party]
     basis = hermitian_basis_flat(d)
     psi = [np.moveaxis(reduce(np.kron, s.factors).reshape(state_set.dims), party, 0).reshape(d, -1)
            for s in state_set]
-    rows = []
+    rows, zero_blocks = [], []
     for a in range(len(psi)):
         for b in range(a + 1, len(psi)):
-            vals = basis @ (psi[a].conj() @ psi[b].T).reshape(-1)
+            block = psi[a].conj() @ psi[b].T
+            zero_blocks.append(not block.any())
+            vals = basis @ block.reshape(-1)
             vals /= np.linalg.norm(psi[a]) * np.linalg.norm(psi[b])
             rows += [vals.real, vals.imag]
-    return np.array(rows).reshape(-1, d * d)
+    return np.array(rows).reshape(-1, d * d), np.array(zero_blocks, bool)
 
 
 def _rescaled(base, seed):
@@ -252,9 +258,11 @@ def test_brute_force_matches_per_pair_kron_reference(state_set):
     n, m = state_set.n_parties, len(state_set)
     for k in (0, n // 2, n - 1):
         got = brute_force_constraints(state_set, k)
-        want = _per_pair_kron_rows(state_set, k)
+        want, zero_blocks = _per_pair_kron_rows(state_set, k)
         assert got.shape == want.shape == (m * (m - 1), state_set.dims[k] ** 2)
         assert np.max(np.abs(got - want)) <= 1e-12
+        # a pair with an exactly zero block is listed, as rows of exact zeros
+        assert (got[np.repeat(zero_blocks, 2)] == 0.0).all()
     for size in (0, 1):
         small = StateSet(state_set.dims, state_set.states[:size])
         for k in (0, n // 2, n - 1):
@@ -273,6 +281,12 @@ def test_brute_force_does_not_use_the_fast_path(monkeypatch):
     certifier._full_vectors.cache_clear()  # the patched calls build the full vectors again
     for k, rows in enumerate(want):
         assert_array_equal(brute_force_constraints(state_set, k), rows)
+
+
+@pytest.mark.parametrize("state_set", _ORACLE_SETS, ids=lambda s: s.label)
+def test_full_vectors_are_the_kron_of_each_states_factors(state_set):
+    full, _ = certifier._full_vectors(state_set)
+    assert full.tobytes() == np.array([reduce(np.kron, s.factors) for s in state_set]).tobytes()
 
 
 def test_brute_force_builds_each_sets_full_vectors_once():
@@ -619,6 +633,7 @@ def _jittered(s, seed=7):
 )
 def test_table_keeps_exactly_the_pairs_orthogonal_on_at_most_one_party(state_set):
     iu, jv, units, others = certifier._pair_overlaps(state_set)
+    assert iu.dtype == jv.dtype == np.int32 and not (iu.flags.writeable or jv.flags.writeable)
     m, n = len(state_set), state_set.n_parties
     kept = iu * m + jv
     assert (iu < jv).all() and (np.diff(kept) > 0).all()
@@ -681,6 +696,18 @@ def test_homogeneous_family_solves_three_distinct_parties(monkeypatch, n):
     assert counts == {"assemble_constraints": 3, "nullspace_real": 3}
     assert [rep.party for rep in cert.parties] == list(range(n))
     assert cert.verdict == "CERTIFIED_NONLOCAL"
+
+
+@pytest.mark.parametrize("state_set, grams", [
+    (theorem1_set(40, 4), 2),  # parties 0-39 hold one array
+    (loads_state_set(dumps_state_set(theorem1_set(40, 4))), 6),  # parties 0, 1 and 2-39
+    (theorem4_set((2, 3, 4)), 6),  # no party shares: two Grams per party
+], ids=["theorem1_set(40, 4)", "its written file", "theorem4_set((2, 3, 4))"])
+def test_table_takes_one_gram_per_run_of_parties_sharing_an_array(monkeypatch, state_set, grams):
+    counts = _count_calls(monkeypatch, "_gram")
+    certifier._pair_overlaps.cache_clear()
+    check_pairwise_orthogonality(state_set)
+    assert counts == {"_gram": grams}
 
 
 def test_certificate_computes_each_partys_active_codes_once():

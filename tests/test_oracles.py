@@ -56,6 +56,16 @@ def test_vandermonde_det_matches_cofactor_expansion():
         assert abs(product - explicit) <= 1e-10 * max(1.0, abs(explicit))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_cofactor_matches_dense_determinant(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.linalg.det(a)
+        got = det_cofactor(a)
+        assert type(got) is complex and abs(got - want) <= 1e-10 * abs(want)
+
+
 def test_vandermonde_vanishes_iff_nodes_collide():
     rng = np.random.default_rng(5)
     for _ in range(10):
