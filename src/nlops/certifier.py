@@ -134,22 +134,20 @@ def _pair_overlaps(state_set: StateSet):
     products of the normalized magnitudes |<u_a|u_b>|, others[j, p] over
     every party except j and others[n, p] over all n parties (the pair's
     orthogonality residual).  Each party's magnitudes come from one Gram
-    product of its k distinct vectors, gathered for every pair by index;
-    consecutive parties that hold one shared table array share its
-    normalized copy and its Gram.  A pair exactly orthogonal on two or more
-    parties has an exact 0.0 factor in every product, all of them +0.0, so
-    it is left out: it neither constrains any party nor adds to the residual.
+    product of its k distinct vectors, gathered for every pair by index.
+    A pair exactly orthogonal on two or more parties has an exact 0.0 factor
+    in every product, all of them +0.0, so it is left out: it neither
+    constrains any party nor adds to the residual.
     Cached for the last set: its orthogonality check and every party's assembly.
     """
     m, n = len(state_set), state_set.n_parties
     _check_pair_count(m, n)
-    units = tuple(_per_run(lambda v: v / np.linalg.norm(v, axis=1)[:, None], state_set.vectors))
+    units = tuple(v / np.linalg.norm(v, axis=1)[:, None] for v in state_set.vectors)
     iu, jv = _kept_pairs(state_set.index, units)
     mags = np.empty((n, iu.size))
-    grams = _per_run(_gram, units)
     for j, u in enumerate(units):
         column = state_set.index[:, j]
-        np.take(next(grams), column[iu] * len(u) + column[jv], out=mags[j])
+        np.take(_gram(u), column[iu] * len(u) + column[jv], out=mags[j])
     others = np.empty((n + 1, iu.size))
     others[0] = 1.0
     for j in range(n):  # others[j]: parties before j
@@ -167,22 +165,6 @@ def _gram(u: np.ndarray) -> np.ndarray:
     return np.abs(u.conj() @ u.T).ravel()
 
 
-def _per_run(func, arrays):
-    """func(a) for each array, computed once per run of consecutive parties
-    that hold the same array object.  Only the last result is held: n Grams
-    could take 16 bytes per table entry on sets with no repeated vector.  It
-    is let go before the next is computed, so that a caller that does not
-    bind it lets the allocator reuse its memory: a Gram held past the next
-    one's allocation cost a cold rescaled theorem1_set(40, 4) table 8643 page
-    faults and 1.6 times its time."""
-    last = out = None
-    for a in arrays:
-        if a is not last:
-            out = None
-            last, out = a, func(a)
-        yield out
-
-
 def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
     """The pairs a < b, ascending, that are exactly orthogonal on at most one party.
 
@@ -192,9 +174,8 @@ def _kept_pairs(index: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
     # [a, b]: a and b exactly orthogonal on at least one, two parties
     once = np.zeros((len(index),) * 2, bool)
     twice = np.zeros_like(once)
-    grams = _per_run(_gram, units)
     for j, u in enumerate(units):
-        zero = next(grams).reshape(len(u), len(u)) == 0
+        zero = _gram(u).reshape(len(u), len(u)) == 0
         column = index[:, j]
         hit = zero[:, column][column]  # rows gathered last: C-contiguous, fast to or
         twice |= once & hit
@@ -224,13 +205,11 @@ def check_pairwise_orthogonality(state_set: StateSet, tol: float = 1e-10) -> Ort
     return OrthogonalityReport(max_residual <= tol, max_residual, pairs, residuals, tol)
 
 
-@lru_cache(maxsize=1)
 def _active_codes(state_set: StateSet, party: int, tol_active: float):
     """Table rows (ia, jb) the party's local vectors take in each pair a < b
     whose normalized overlap product over the other parties exceeds tol_active.
 
-    Both arrays are read-only.  Cached for the last party: certify_nonlocal's
-    sharing key and the party's constraint rows read one computation.
+    Both arrays are read-only.
     """
     iu, jv, _, others = _pair_overlaps(state_set)
     active = others[party] > tol_active
@@ -246,13 +225,21 @@ def assemble_constraints(state_set: StateSet, party: int, tol_active: float = 1e
     Each unordered pair (a, b) whose normalized overlap product over the
     other parties exceeds tol_active contributes two rows, the real and
     imaginary parts of the functional x -> <u_a|E(x)|u_b> on the party's
-    normalized local vectors.  Inactive pairs contribute nothing.
+    normalized local vectors.  Inactive pairs contribute nothing.  Refuses
+    a local dimension above MAX_LOCAL_DIM before the pair table is built, and
+    more than MAX_OVERLAP_ENTRIES entries, active pairs times d^2, before the
+    Hermitian basis or any per-pair array: each of the per-pair arrays takes
+    16 bytes per entry.
     """
     party = _check_party(state_set.n_parties, party)
     check_tolerance("tol_active", tol_active)
     d = state_set.dims[party]
-    basis = hermitian_basis_flat(d)  # refuses a too-large d before any per-pair array
+    _check_local_dim(d)
     ia, jb = _active_codes(state_set, party, tol_active)
+    if ia.size * d * d > MAX_OVERLAP_ENTRIES:
+        raise ValueError(f"too-large: {ia.size} active pairs of local dimension {d} exceed "
+                         f"{MAX_OVERLAP_ENTRIES} constraint entries")
+    basis = hermitian_basis_flat(d)
     u = _pair_overlaps(state_set)[2][party]  # the party's normalized table
     # <u_a|B_x|u_b> = sum_{j,p} B_x[j,p] * conj(u_a[j]) u_b[p]
     w = (u[ia].conj()[:, :, None] * u[jb][:, None, :]).reshape(ia.size, d * d)
@@ -316,12 +303,14 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
 def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
     """Every state's full vector, one per row, and its norm, both read-only.
 
-    Each state's factors are concatenated once; row a is then built party by
-    party, left to right, as reduce(np.kron, factors) of state a.
+    Row a starts as state a's factors, vectors[j][index[a, j]] for each party
+    j, side by side, and is then built party by party, left to right, as
+    reduce(np.kron, factors) of state a.
     Cached for the last set, whose oracle runs once per party.
     """
     m = len(state_set)
-    flat = np.concatenate([f for s in state_set for f in s.factors]).reshape(m, -1)
+    flat = np.concatenate([table[column] for table, column
+                           in zip(state_set.vectors, state_set.index.T)], axis=1)
     ends = np.cumsum(state_set.dims)
     full = flat[:, :ends[0]]
     for start, end in zip(ends[:-1], ends[1:]):
@@ -374,10 +363,12 @@ def certify_nonlocal(state_set: StateSet, tolerances: Tolerances | None = None) 
 
     The set is certified nonlocal iff it is pairwise orthogonal and every
     party's space of admissible operators is the span of the identity.
-    Failures are encoded in the certificate, never raised.  Parties whose
-    tables of local vectors are byte-equal, shape included, and whose active
-    pairs hold the same table rows get byte-identical constraint rows, so
-    the first of them is solved and the others take its report.
+    Failures are encoded in the certificate, never raised.  Parties that
+    hold one table array, as StateSet gives every party whose table equals
+    another's, and whose active pairs hold the same table rows get
+    byte-identical constraint rows, so the first of them is solved and the
+    others take its report.  A party too large to assemble is refused as
+    assemble_constraints refuses it.
     """
     tol = tolerances if tolerances is not None else Tolerances()
     _check_local_dim(max(state_set.dims))
@@ -386,7 +377,7 @@ def certify_nonlocal(state_set: StateSet, tolerances: Tolerances | None = None) 
     parties = []
     for k, table in enumerate(state_set.vectors):
         ia, jb = _active_codes(state_set, k, tol.tol_active)
-        key = (table.shape, table.tobytes(), (ia * len(table) + jb).tobytes())
+        key = (id(table), (ia * len(table) + jb).tobytes())  # state_set keeps table alive
         rep = solved.get(key)
         if rep is None:
             rep = solved[key] = _party_report(state_set, k, tol)

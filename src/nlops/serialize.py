@@ -134,14 +134,14 @@ def _load_written(text: str) -> StateSet | None:
         return None
     try:
         dims = _field(lines[2], "dims")
-        return _built(dims, _field(lines[3], "label"), _written_states(dims, lines[5:-3]),
+        return _built(dims, _field(lines[3], "label"), _written_keys(dims, lines[5:-3]),
                       lambda vec_text: _DECODER.decode(f"[[{vec_text}]]"))
     except Exception:  # whatever failed, the JSON path reads text again and names it
         return None
 
 
-def _written_states(dims: list[int], states: list[str]):
-    """Each state line's local-vector texts, as both its keys and its raw vectors."""
+def _written_keys(dims: list[int], states: list[str]):
+    """Each state line's keys: its local-vector texts."""
     for s_idx, line in enumerate(states):
         # '    [[[' + the texts joined by ']], [[' + ']]]', and a comma on all but the last
         end = "]]]" if s_idx == len(states) - 1 else "]]],"
@@ -150,7 +150,7 @@ def _written_states(dims: list[int], states: list[str]):
         texts = line[7:-len(end)].split("]], [[")
         if len(texts) != len(dims):
             raise ValueError("not one vector per party")
-        yield texts, texts
+        yield texts
 
 
 def _load_json(text: str) -> StateSet:
@@ -166,31 +166,29 @@ def _load_json(text: str) -> StateSet:
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION!r}")
     dims = doc.get("dims")
-    return _built(dims, doc.get("label", ""), _json_states(dims, doc.get("states")), _as_is)
+    return _built(dims, doc.get("label", ""), _json_keys(dims, doc.get("states")),
+                  marshal.loads)
 
 
-def _json_states(dims: list[int], raw_states):
+def _json_keys(dims: list[int], raw_states):
     """Each state's keys, the marshal bytes (format 2: no back-references) of
-    its decoded local vectors, and the vectors.  The bytes hold each value's
-    type and exact bits, so values that decode differently (-0.0 and 0.0, true
-    and 1, "1" and 1) get different keys.  Nothing runs before the first state
-    is asked for: states that are no array are refused after dims and label."""
+    its decoded local vectors, which marshal.loads gives back.  The bytes hold
+    each value's type and exact bits, so values that decode differently (-0.0
+    and 0.0, true and 1, "1" and 1) get different keys.  Nothing runs before
+    the first state is asked for: states that are no array are refused after
+    dims and label."""
     if not isinstance(raw_states, list):
         raise ValueError("states must be an array")
     for s_idx, raw in enumerate(raw_states):
         if not (isinstance(raw, list) and len(raw) == len(dims)):
             raise ValueError(f"state {s_idx} must have one entry per party")
-        yield [marshal.dumps(raw_vec, 2) for raw_vec in raw], raw
+        yield [marshal.dumps(raw_vec, 2) for raw_vec in raw]
 
 
-def _as_is(raw_vec):
-    return raw_vec
-
-
-def _built(dims, label, states, decode) -> StateSet:
-    """The set of dims, label and states; states yields each state's keys, one
-    per party, which only equal raw vectors share, and its raw vectors, which
-    decode turns into decoded lists.
+def _built(dims, label, key_rows, decode) -> StateSet:
+    """The set of dims, label and states; key_rows yields each state's keys,
+    one per party, which only equal local vectors share, and decode turns a
+    key back into the decoded JSON value of its local vector.
 
     The families put the same few local vectors on every party, so each
     distinct key is decoded, checked and converted once per local dimension,
@@ -207,7 +205,7 @@ def _built(dims, label, states, decode) -> StateSet:
     rows = [{} for _ in dims]  # per party: amplitude bytes -> table row
     index = []
     try:
-        for s_idx, (keys, raws) in enumerate(states):
+        for s_idx, keys in enumerate(key_rows):
             line = list(map(dict.get, known, keys))
             if None in line:  # keys these parties have not held yet
                 for p_idx, key in enumerate(keys):
@@ -216,7 +214,7 @@ def _built(dims, label, states, decode) -> StateSet:
                         amps = converted.get((key, d))
                         if amps is None:
                             amps = converted[key, d] = _converted(
-                                decode(raws[p_idx]), d, s_idx, p_idx).tobytes()
+                                decode(key), d, s_idx, p_idx).tobytes()
                         party_rows = rows[p_idx]
                         line[p_idx] = known[p_idx][key] = party_rows.setdefault(
                             amps, len(party_rows))

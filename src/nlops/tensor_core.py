@@ -48,7 +48,8 @@ MAX_LOCAL_DIM = 64
 # table; the boolean m x m masks that find them are most of what is left:
 # product_basis((64, 64)) peaks at 5.0 bytes per entry (16.8M entries,
 # +81 MiB), product_basis((2,) * 11) at 0.9 (23.1M, +20 MiB).
-# The same bound caps the (m d)^2 entries of the oracle's Gram.
+# The same bound caps the (m d)^2 entries of the oracle's Gram, and the active
+# pairs times d^2 entries of each of a party's per-pair constraint arrays.
 MAX_OVERLAP_ENTRIES = 2**26
 
 

@@ -24,10 +24,8 @@ from nlops import (
     certify_nonlocal,
     check_pairwise_orthogonality,
     coords_to_matrix,
-    dumps_state_set,
     hermitian_basis,
     hermitian_basis_flat,
-    loads_state_set,
     matrix_to_coords,
     nullspace_real,
     partial_inner_excluding,
@@ -698,24 +696,7 @@ def test_homogeneous_family_solves_three_distinct_parties(monkeypatch, n):
     assert cert.verdict == "CERTIFIED_NONLOCAL"
 
 
-@pytest.mark.parametrize("state_set, grams", [
-    (theorem1_set(40, 4), 2),  # parties 0-39 hold one array
-    (loads_state_set(dumps_state_set(theorem1_set(40, 4))), 6),  # parties 0, 1 and 2-39
-    (theorem4_set((2, 3, 4)), 6),  # no party shares: two Grams per party
-], ids=["theorem1_set(40, 4)", "its written file", "theorem4_set((2, 3, 4))"])
-def test_table_takes_one_gram_per_run_of_parties_sharing_an_array(monkeypatch, state_set, grams):
-    counts = _count_calls(monkeypatch, "_gram")
-    certifier._pair_overlaps.cache_clear()
-    check_pairwise_orthogonality(state_set)
-    assert counts == {"_gram": grams}
-
-
-def test_certificate_computes_each_partys_active_codes_once():
-    # Each party's sharing key fills the cache; a solved party's rows read it.
-    certifier._active_codes.cache_clear()
-    certify_nonlocal(theorem1_set(20, 4))
-    info = certifier._active_codes.cache_info()
-    assert (info.misses, info.hits) == (20, 3)
+def test_active_codes_are_read_only():
     ia, jb = certifier._active_codes(theorem1_set(3, 4), 0, Tolerances().tol_active)
     assert not ia.flags.writeable and not jb.flags.writeable
 
@@ -818,3 +799,32 @@ def test_certify_refuses_a_too_large_local_dimension_before_the_pair_table(monke
         ProductState((basis_vector(2, 0), basis_vector(65, j))) for j in range(3)))
     with pytest.raises(ValueError, match="too-large: local dimension 65 exceeds 64"):
         certify_nonlocal(big)
+
+
+@pytest.mark.parametrize("state_set, pairs", [
+    (theorem1_set(3, 64), 19845),  # 81.3M entries, a set nlops generate writes
+    (product_basis((64, 64)), 129024),  # 528M entries
+], ids=["theorem1_set(3, 64)", "product_basis((64, 64))"])
+def test_assembly_refuses_too_many_entries_before_the_basis(monkeypatch, state_set, pairs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hermitian basis must not be built for a refused party")
+
+    monkeypatch.setattr(certifier, "hermitian_basis_flat", refuse)
+    message = f"too-large: {pairs} active pairs of local dimension 64 exceed 67108864"
+    with pytest.raises(ValueError, match=message):
+        assemble_constraints(state_set, 0)
+    with pytest.raises(ValueError, match=message):
+        certify_nonlocal(state_set)
+
+
+@pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+def test_assembly_bound_admits_exactly_its_entries(monkeypatch, slack, refused):
+    state_set = theorem1_set(3, 3)
+    rows = assemble_constraints(state_set, 0)
+    monkeypatch.setattr(certifier, "MAX_OVERLAP_ENTRIES", rows.shape[0] // 2 * 9 + slack)
+    if refused:
+        with pytest.raises(ValueError,
+                           match="too-large: 20 active pairs of local dimension 3 exceed 179 "):
+            assemble_constraints(state_set, 0)
+    else:
+        assert_array_equal(assemble_constraints(state_set, 0), rows)

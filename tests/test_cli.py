@@ -272,6 +272,19 @@ def test_certify_too_large_local_dimension_exits_2_with_one_line_error(tmp_path,
     assert captured.err.startswith("error: too-large: local dimension 65")
 
 
+def test_certify_refuses_a_generated_set_too_large_to_assemble(tmp_path, capsys):
+    # generate bounds the pair table, not the constraint rows: theorem1_set(3, 64)
+    # has 19,845 active pairs per party, times 64^2 coordinates 81.3M entries.
+    state_file = tmp_path / "t1.json"
+    assert main(["generate", "--theorem", "1", "--n", "3", "--d", "64",
+                 "--out", str(state_file)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(state_file)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: too-large: 19845 active pairs of local "
+                                            "dimension 64 exceed 67108864 constraint entries\n")
+
+
 def test_certify_refuses_a_too_large_local_dimension_before_the_pair_table(
         tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):

@@ -3,34 +3,32 @@
     python3 tools/bench_grid.py                      # the checkout this file is in
     python3 tools/bench_grid.py --src OTHER/src      # another checkout's source
 
-It times ``certify_nonlocal`` on the ``theorem1_set`` grid and on each
-grid set with every local vector of every state rescaled by its own complex
-scalar, so that no vector repeats and no two parties share a solve (best of
-REPEAT runs, each with the cached pair-overlap table and active codes cleared
-first, so every run builds them as a first certificate does; a case stops
-repeating once it has used CASE_BUDGET_S seconds),
-``nlops selftest`` end to end in-process (best of REPEAT),
-and the time spent inside ``nullspace_real`` and ``brute_force_constraints``
-during one more selftest.  Both functions call no other nlops function that
-does real work, so that time is their self time.  It also times
-``theorem1_set`` itself and ``loads_state_set`` on three files per grid case
-(best of LOAD_REPEAT each): the set as ``dump_state_set`` writes it, the same
-document re-encoded compactly by ``json.dumps``, and the rescaled set.  For each
-grid case and each set of ADVERSARIAL it times a cold
-``check_pairwise_orthogonality`` (best of REPEAT, the cached pair-overlap
-table cleared first), and records in one more cold run its tracemalloc peak,
-the memory still allocated when it returns (its report and the cached table)
-and the share of pairs left out of the table.  Every certificate's verdict
-and per-party ``(solution_dim, trivial, active_pairs)`` go into the record,
-so two records can be checked for equal results.  BLAS runs on one thread, as
-in perfbench, set before numpy is imported.
+Each ``theorem1_set`` grid case is timed in three variants: plain; rescaled,
+with every local vector of every state times its own complex scalar, so that
+no vector repeats; and rotated, with each party's table turned by its own
+seeded Haar unitary, so that no exact zero is left and no two parties share
+a table.  For each variant it times a cold ``certify_nonlocal`` (best of
+REPEAT runs, each with the certifier's cached per-set tables cleared first, so
+every run builds them as a first certificate does; a case stops repeating
+once it has used CASE_BUDGET_S seconds) and a cold
+``check_pairwise_orthogonality`` (best of REPEAT, cleared the same way), and
+records in one more cold check its tracemalloc peak, the memory still
+allocated when it returns (its report and the cached table) and the share of
+pairs left out of the table; the sets of ADVERSARIAL get the same check.  It
+also times ``theorem1_set`` itself and ``loads_state_set`` on three files per
+grid case (best of LOAD_REPEAT each): the set as ``dump_state_set`` writes
+it, the same document re-encoded compactly by ``json.dumps``, and the
+rescaled set.  Every certificate's verdict and per-party ``(solution_dim,
+trivial, active_pairs)`` go into the record, so two records can be checked
+for equal results.  ``nlops selftest`` is not timed here: perfbench's
+selftest workload measures it in alternating runs, which resolve far smaller
+changes than a best of a few in-process runs.  BLAS runs on one thread, as in
+perfbench, set before numpy is imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import platform
@@ -53,16 +51,6 @@ ADVERSARIAL = [
 ]
 
 
-def _timed(func, totals, key):
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            totals[key] += time.perf_counter() - start
-    return wrapper
-
-
 def _best_s(func, *args):
     """Best of LOAD_REPEAT timed calls of func(*args)."""
     times = []
@@ -74,8 +62,8 @@ def _best_s(func, *args):
 
 
 def _clear_set_caches(certifier):
-    """Clear the certifier's caches of the last set: its pair-overlap table and
-    its active codes, which an older checkout does not cache."""
+    """Clear the certifier's caches of the last set: its pair-overlap table and,
+    in the checkouts that cache them, its active codes."""
     for cached in (certifier._pair_overlaps, certifier._active_codes):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
@@ -91,6 +79,19 @@ def _rescaled(state_set):
         ProductState(tuple(f * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
                            for f in s.factors))
         for s in state_set.states))
+
+
+def _rotated(state_set):
+    """The set with each party's table turned by its own seeded Haar unitary."""
+    import numpy as np
+    from nlops import StateSet
+
+    rng = np.random.default_rng(len(state_set))
+    tables = []
+    for table, d in zip(state_set.vectors, state_set.dims):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        tables.append(table @ (q * (np.diag(r) / np.abs(np.diag(r)))).T)
+    return StateSet.from_table(state_set.dims, tables, state_set.index)
 
 
 def _certify_record(case, state_set):
@@ -160,7 +161,7 @@ def main() -> int:
 
     import numpy as np
     import nlops
-    from nlops import certifier, cli, theorem1_set
+    from nlops import certifier, theorem1_set
 
     commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.src,
                             capture_output=True, text=True).stdout.strip()
@@ -179,41 +180,14 @@ def main() -> int:
     for n, d in GRID:
         case, state_set = f"theorem1_set({n}, {d})", theorem1_set(n, d)
         rescaled = _rescaled(state_set)
-        record["certify"].append(_certify_record(case, state_set))
-        record["certify"].append(_certify_record(f"rescaled {case}", rescaled))
+        for name, variant in (("", state_set), ("rescaled ", rescaled),
+                              ("rotated ", _rotated(state_set))):
+            record["certify"].append(_certify_record(name + case, variant))
+            record["pairs"].append(_pairs_record(name + case, variant))
         record["load"].append({**_load_record(case, state_set, rescaled),
                                "gen_s": _best_s(theorem1_set, n, d)})
-        record["pairs"].append(_pairs_record(case, state_set))
     for case in ADVERSARIAL:
         record["pairs"].append(_pairs_record(case, eval(case, vars(nlops))))
-    _clear_set_caches(certifier)
-
-    def selftest():
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli.main(["selftest"])
-        return code, out.getvalue().splitlines()[-1]
-
-    walls = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        code, summary = selftest()
-        walls.append(time.perf_counter() - start)
-    totals = {"nullspace_real_s": 0.0, "brute_force_constraints_s": 0.0}
-    patched = [
-        (cli, "nullspace_real", "nullspace_real_s"),
-        (certifier, "nullspace_real", "nullspace_real_s"),
-        (cli, "brute_force_constraints", "brute_force_constraints_s"),
-    ]
-    originals = [getattr(mod, name) for mod, name, _ in patched]
-    for mod, name, key in patched:
-        setattr(mod, name, _timed(getattr(mod, name), totals, key))
-    try:
-        selftest()
-    finally:
-        for (mod, name, _), func in zip(patched, originals):
-            setattr(mod, name, func)
-    record["selftest"] = {"best_wall_s": min(walls), "runs": len(walls), "exit": code,
-                          "summary": summary, **totals}
     print(json.dumps(record))
     return 0
 
