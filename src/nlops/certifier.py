@@ -288,7 +288,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     psi = full[:, columns[:, shared]].reshape(m * d, -1)
     # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
     c = (psi.conj() @ psi.T).reshape(m, d, m, d)
-    iu, jv = np.triu_indices(m, 1)
+    iu, jv = _pair_indices(m)
     live = np.flatnonzero(c.any(axis=1).any(axis=-1)[iu, jv])  # the rest stay rows of +0.0
     a, b = iu[live], jv[live]
     values = c[a, :, b, :].reshape(live.size, d * d) @ basis.T
@@ -319,6 +319,18 @@ def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
     for a in (full, norms):
         a.flags.writeable = False
     return full, norms
+
+
+@lru_cache(maxsize=1)
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), read-only: every pair a < b of m states.
+
+    Cached for the last state count, whose oracle runs once per party.
+    """
+    iu, jv = np.triu_indices(m, 1)
+    for a in (iu, jv):
+        a.flags.writeable = False
+    return iu, jv
 
 
 def solution_space(

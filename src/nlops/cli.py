@@ -7,6 +7,7 @@ orthogonal / self-test failure, 2 = invalid input.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from dataclasses import fields
 from functools import cache
@@ -23,7 +24,6 @@ from .certifier import (
 )
 from .constructions import (
     HOMOGENEOUS_GRID,
-    heterogeneous_dims,
     product_basis,
     theorem1_set,
     theorem2_set,
@@ -42,6 +42,12 @@ __all__ = ["main", "build_parser"]
 # a misconfigured (too coarse) tol_rank as reported failures.
 _RANK_STRESS_GRID = [(3, 8), (3, 9)]
 _SELFTEST_SEED = 71804623
+# The mixed-dimension sweep, heterogeneous_dims(12, _SELFTEST_SEED) written
+# out, so that selftest never imports numpy.random.
+_SELFTEST_DIMS = [
+    (4, 3, 2, 5), (4, 2, 5), (2, 5, 4, 5, 3), (5, 4, 2, 2, 3), (2, 2, 3), (5, 2, 4),
+    (5, 4, 4, 2, 4), (4, 3, 2, 4, 4), (4, 4, 2, 5, 4), (4, 2, 3, 4, 5), (3, 4, 3, 2), (5, 2, 2, 4),
+]
 
 
 def _parse_dims(args) -> tuple[int, ...]:
@@ -141,7 +147,7 @@ def _sweep_sets():
         yield t2, (len(t2) == n * (2 * d - 3) + 1, f"{len(t2)} vs {n * (2 * d - 3) + 1}")
     for n, d in _RANK_STRESS_GRID:
         yield theorem1_set(n, d), None
-    for dims in heterogeneous_dims(12, _SELFTEST_SEED):
+    for dims in _SELFTEST_DIMS:
         t3 = theorem3_set(dims)
         yield t3, (len(t3) == sum(2 * (d - 1) for d in dims), "")
         t4 = theorem4_set(dims)
@@ -173,15 +179,22 @@ def _selftest_checks(max_total_dim: int, tol: Tolerances):
         yield (f"leave-one-out-determinants d={d}", float(dets.min()) > 1e-8,
                f"min |det| {dets.min():.3e}")
 
-    rng = np.random.default_rng(_SELFTEST_SEED)
+    # Standard-library draws: numpy.random costs selftest about 6 MB to import.
+    rng = random.Random(_SELFTEST_SEED)
+
+    def draw(*shape):
+        """An array of independent complex standard-normal draws."""
+        flat = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(prod(shape))]
+        return np.array(flat).reshape(shape)
+
     worst = 0.0
     for _ in range(50):
-        n = int(rng.integers(1, 5))
+        n = rng.randint(1, 4)
         while True:
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = draw(n, n)
             if np.linalg.cond(a) < 100:
                 break
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = draw(n)
         diff = np.max(np.abs(cramer_solve(a, b) - np.linalg.solve(a, b)))
         worst = max(worst, float(diff))
     yield "cramer-vs-dense-solver", worst <= 1e-9, f"max deviation {worst:.3e}"

@@ -298,6 +298,17 @@ def test_brute_force_builds_each_sets_full_vectors_once():
     assert not full.flags.writeable and not norms.flags.writeable
 
 
+def test_brute_force_builds_each_sets_pair_indices_once():
+    certifier._pair_indices.cache_clear()
+    state_set = theorem4_set((2, 3, 4))
+    for k in range(state_set.n_parties):
+        brute_force_constraints(state_set, k)
+    assert certifier._pair_indices.cache_info().misses == 1
+    iu, jv = certifier._pair_indices(len(state_set))
+    assert_array_equal(np.stack([iu, jv]), np.triu_indices(len(state_set), 1))
+    assert not iu.flags.writeable and not jv.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

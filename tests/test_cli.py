@@ -15,6 +15,7 @@ import pytest
 
 import nlops
 from nlops import ProductState, basis_vector, dump_state_set, product_basis, theorem2_set
+from nlops.constructions import heterogeneous_dims
 from nlops.cli import _subspace_gap, main
 from nlops import certifier, cli
 from nlops.tensor_core import StateSet
@@ -461,6 +462,25 @@ def test_subspace_gap_depends_on_the_spans_only():
     assert _subspace_gap(a, a @ rotation) <= 1e-12
     assert abs(_subspace_gap(a[:, :2], a) - 1.0) <= 1e-12
     assert _subspace_gap(np.zeros((16, 0)), np.zeros((16, 0))) == 0.0
+
+
+def test_selftest_sweeps_the_seeded_mixed_dimensions():
+    assert cli._SELFTEST_DIMS == heterogeneous_dims(12, cli._SELFTEST_SEED)
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    src = pathlib.Path(nlops.__file__).resolve().parents[1]
+    out = tmp_path / "t4.json"
+    code = ("import sys; from nlops.cli import main; "
+            "main(['selftest', '--max-total-dim', '8']); "
+            f"main(['generate', '--theorem', '4', '--dims', '2,3,4', '--out', {str(out)!r}]); "
+            f"main(['certify', {str(out)!r}]); "
+            "assert 'numpy.random' not in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert "166/166 checks passed" in done.stdout
+    assert "verdict       : CERTIFIED_NONLOCAL" in done.stdout
 
 
 def test_importing_the_cli_loads_no_scipy():
