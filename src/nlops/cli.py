@@ -42,8 +42,7 @@ __all__ = ["main", "build_parser"]
 # a misconfigured (too coarse) tol_rank as reported failures.
 _RANK_STRESS_GRID = [(3, 8), (3, 9)]
 _SELFTEST_SEED = 71804623
-# The mixed-dimension sweep, heterogeneous_dims(12, _SELFTEST_SEED) written
-# out, so that selftest never imports numpy.random.
+# The mixed-dimension sweep: 12 tuples of 3 to 5 parties, each d_j in 2..5.
 _SELFTEST_DIMS = [
     (4, 3, 2, 5), (4, 2, 5), (2, 5, 4, 5, 3), (5, 4, 2, 2, 3), (2, 2, 3), (5, 2, 4),
     (5, 4, 4, 2, 4), (4, 3, 2, 4, 4), (4, 4, 2, 5, 4), (4, 2, 3, 4, 5), (3, 4, 3, 2), (5, 2, 2, 4),

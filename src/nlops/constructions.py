@@ -170,12 +170,6 @@ def product_basis(dims) -> StateSet:
 HOMOGENEOUS_GRID = [(n, d) for n in range(3, 7) for d in range(2, 7)]
 
 
-def heterogeneous_dims(count: int, seed: int) -> list[tuple[int, ...]]:
-    """Frozen random dimension tuples: n in 3..5 parties, each d_j in 2..5."""
-    rng = np.random.default_rng(seed)
-    return [tuple(rng.integers(2, 6, size=rng.integers(3, 6)).tolist()) for _ in range(count)]
-
-
 def _has_perfect_matching(parallel: np.ndarray) -> bool:
     """True iff every row of a square boolean matrix gets its own True column.
 

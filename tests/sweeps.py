@@ -3,9 +3,15 @@
 from functools import lru_cache
 
 from nlops import theorem1_set, theorem2_set, theorem3_set, theorem4_set
-from nlops.constructions import HOMOGENEOUS_GRID, heterogeneous_dims
+from nlops.constructions import HOMOGENEOUS_GRID
 
-HETEROGENEOUS_DIMS = heterogeneous_dims(count=20, seed=20260810)
+# The mixed-dimension sweep: 20 tuples of 3 to 5 parties, each d_j in 2..5.
+HETEROGENEOUS_DIMS = [
+    (3, 2, 4, 5, 4), (5, 2, 2), (5, 3, 2, 5), (4, 4, 2, 5), (4, 4, 3), (5, 2, 4, 2, 2),
+    (5, 5, 5, 5, 5), (5, 2, 3, 4), (4, 4, 4, 4, 4), (2, 2, 5), (2, 4, 3, 4), (4, 2, 5, 3),
+    (4, 2, 4, 5), (5, 2, 5, 3, 4), (3, 5, 2, 3, 2), (2, 3, 3, 4, 3), (3, 4, 5, 4), (4, 2, 4, 4),
+    (4, 2, 2, 4), (2, 4, 4, 3, 4),
+]
 
 
 @lru_cache(maxsize=1)

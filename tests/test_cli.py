@@ -15,7 +15,6 @@ import pytest
 
 import nlops
 from nlops import ProductState, basis_vector, dump_state_set, product_basis, theorem2_set
-from nlops.constructions import heterogeneous_dims
 from nlops.cli import _subspace_gap, main
 from nlops import certifier, cli
 from nlops.tensor_core import StateSet
@@ -462,10 +461,6 @@ def test_subspace_gap_depends_on_the_spans_only():
     assert _subspace_gap(a, a @ rotation) <= 1e-12
     assert abs(_subspace_gap(a[:, :2], a) - 1.0) <= 1e-12
     assert _subspace_gap(np.zeros((16, 0)), np.zeros((16, 0))) == 0.0
-
-
-def test_selftest_sweeps_the_seeded_mixed_dimensions():
-    assert cli._SELFTEST_DIMS == heterogeneous_dims(12, cli._SELFTEST_SEED)
 
 
 def test_no_command_imports_numpy_random(tmp_path):

@@ -9,6 +9,11 @@ under a local unitary.  Reordering and relabeling change which parties share a
 table array and a solve; a unitary or a scalar per local vector leaves no
 repeated vector to share.  So these tests also check that sharing work between
 parties never changes a result.
+
+All four changes are drawn on every fifth sweep set, on theorem2_set(3, 3)
+and theorem3_set((2, 3, 4)), on the product bases and on the known-answer
+corpus.  A unitary, a reordering and a relabeling are also drawn on sets
+sampled from the whole sweep.
 """
 
 from functools import lru_cache
@@ -16,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from corpus import KNOWN_NONLOCAL
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sweeps import sweep_sets
 
 from nlops import (
@@ -26,11 +31,14 @@ from nlops import (
     hermitian_basis,
     hermitian_basis_flat,
     product_basis,
+    theorem2_set,
+    theorem3_set,
 )
 
-# Every fifth sweep set, which takes each of the four families, the product
-# bases on two and three parties, and the known-answer corpus.
-_SETS = [*sweep_sets()[::5],
+# Every fifth sweep set, which takes each of the four families, two small
+# three-party family sets, the product bases on two and three parties, and the
+# known-answer corpus.
+_SETS = [*sweep_sets()[::5], theorem2_set(3, 3), theorem3_set((2, 3, 4)),
          *(product_basis(dims) for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]),
          *(s for s, _ in KNOWN_NONLOCAL)]
 
@@ -44,8 +52,8 @@ def _haar_unitary(rng, d):
 
 def _rotated(base, rng):
     unitaries = [_haar_unitary(rng, d) for d in base.dims]
-    moved = StateSet(base.dims, [ProductState(tuple(u @ f for u, f in zip(unitaries, s.factors)))
-                                 for s in base])
+    moved = StateSet.from_table(base.dims, [t @ u.T for t, u in zip(base.vectors, unitaries)],
+                                base.index)
     return moved, range(base.n_parties), unitaries
 
 
@@ -80,12 +88,7 @@ def _conjugation(u):
     return (hermitian_basis_flat(d) @ moved.transpose(0, 2, 1).reshape(d * d, d * d).T).real
 
 
-@pytest.mark.parametrize("change", [_rotated, _rescaled, _reordered, _relabeled],
-                         ids=lambda f: f.__name__[1:])
-@pytest.mark.parametrize("base", _SETS, ids=lambda s: s.label)
-@settings(derandomize=True, deadline=None, max_examples=5)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_certificate_follows_the_change(change, base, seed):
+def _assert_follows(change, base, seed):
     moved, perm, unitaries = change(base, np.random.default_rng(seed))
     want, got = _certificate(base), certify_nonlocal(moved)
     assert got.verdict == want.verdict
@@ -98,3 +101,23 @@ def test_certificate_follows_the_change(change, base, seed):
             r = _conjugation(unitaries[k])
             projector = r @ projector @ r.T
         assert np.linalg.norm(rep.solution @ rep.solution.T - projector) <= PROJECTOR_TOL
+
+
+def _name(change):
+    return change.__name__[1:]
+
+
+@pytest.mark.parametrize("change", [_rotated, _rescaled, _reordered, _relabeled], ids=_name)
+@pytest.mark.parametrize("base", _SETS, ids=lambda s: s.label)
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=5)  # it and seed 0, hypothesis's first draw, relabel 3 parties cyclically
+def test_certificate_follows_the_change(change, base, seed):
+    _assert_follows(change, base, seed)
+
+
+@pytest.mark.parametrize("change", [_rotated, _reordered, _relabeled], ids=_name)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(base=st.sampled_from(sweep_sets()), seed=st.integers(0, 2**32 - 1))
+def test_sweep_certificate_follows_the_change(change, base, seed):
+    _assert_follows(change, base, seed)
