@@ -278,7 +278,7 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
                          f"{MAX_OVERLAP_ENTRIES} oracle Gram entries")
     if m < 2:
         return np.zeros((0, d * d))
-    full, norms = _full_vectors(state_set)
+    full, norms, (iu, jv) = _full_vectors(state_set)
     # Column (l, j, r) of a full vector, with the party's factor at j, sits at
     # (l d + j) right + r.  A column (l, r) nonzero for at most one state adds
     # only to that state's own block c[a, :, a, :], which no pair a < b reads.
@@ -288,7 +288,6 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
     psi = full[:, columns[:, shared]].reshape(m * d, -1)
     # c[a, j, b, p] = <phi_a| (|j><p| on the party factor) |phi_b>
     c = (psi.conj() @ psi.T).reshape(m, d, m, d)
-    iu, jv = _pair_indices(m)
     live = np.flatnonzero(c.any(axis=1).any(axis=-1)[iu, jv])  # the rest stay rows of +0.0
     a, b = iu[live], jv[live]
     values = c[a, :, b, :].reshape(live.size, d * d) @ basis.T
@@ -300,13 +299,14 @@ def brute_force_constraints(state_set: StateSet, party: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
-    """Every state's full vector, one per row, and its norm, both read-only.
+def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Every state's full vector, one per row, its norm, and every pair a < b.
 
     Row a starts as state a's factors, vectors[j][index[a, j]] for each party
     j, side by side, and is then built party by party, left to right, as
-    reduce(np.kron, factors) of state a.
-    Cached for the last set, whose oracle runs once per party.
+    reduce(np.kron, factors) of state a.  The pairs are np.triu_indices(m, 1).
+    All arrays are read-only.  Cached for the last set, whose oracle runs
+    once per party.
     """
     m = len(state_set)
     flat = np.concatenate([table[column] for table, column
@@ -316,21 +316,10 @@ def _full_vectors(state_set: StateSet) -> tuple[np.ndarray, np.ndarray]:
     for start, end in zip(ends[:-1], ends[1:]):
         full = (full[:, :, None] * flat[:, None, start:end]).reshape(m, -1)
     norms = np.linalg.norm(full, axis=1)
-    for a in (full, norms):
+    pairs = np.triu_indices(m, 1)
+    for a in (full, norms, *pairs):
         a.flags.writeable = False
-    return full, norms
-
-
-@lru_cache(maxsize=1)
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), read-only: every pair a < b of m states.
-
-    Cached for the last state count, whose oracle runs once per party.
-    """
-    iu, jv = np.triu_indices(m, 1)
-    for a in (iu, jv):
-        a.flags.writeable = False
-    return iu, jv
+    return full, norms, pairs
 
 
 def solution_space(
@@ -373,8 +362,9 @@ def _party_report(state_set: StateSet, party: int, tol: Tolerances) -> PartyRepo
 def certify_nonlocal(state_set: StateSet, tolerances: Tolerances | None = None) -> Certificate:
     """Run the orthogonality check and every party's solution space.
 
-    The set is certified nonlocal iff it is pairwise orthogonal and every
-    party's space of admissible operators is the span of the identity.
+    The set is certified nonlocal iff it holds at least two states, is
+    pairwise orthogonal and every party's space of admissible operators is
+    the span of the identity.
     Failures are encoded in the certificate, never raised.  Parties that
     hold one table array, as StateSet gives every party whose table equals
     another's, and whose active pairs hold the same table rows get
@@ -394,7 +384,7 @@ def certify_nonlocal(state_set: StateSet, tolerances: Tolerances | None = None) 
         if rep is None:
             rep = solved[key] = _party_report(state_set, k, tol)
         parties.append(rep if rep.party == k else replace(rep, party=k))
-    certified = bool(orth.passed and all(p.trivial for p in parties))
+    certified = bool(len(state_set) >= 2 and orth.passed and all(p.trivial for p in parties))
     return Certificate(
         dims=state_set.dims,
         label=state_set.label,

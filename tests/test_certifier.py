@@ -282,7 +282,7 @@ def test_brute_force_does_not_use_the_fast_path(monkeypatch):
 
 @pytest.mark.parametrize("state_set", _ORACLE_SETS, ids=lambda s: s.label)
 def test_full_vectors_are_the_kron_of_each_states_factors(state_set):
-    full, _ = certifier._full_vectors(state_set)
+    full, _, _ = certifier._full_vectors(state_set)
     assert full.tobytes() == np.array([reduce(np.kron, s.factors) for s in state_set]).tobytes()
 
 
@@ -292,20 +292,10 @@ def test_brute_force_builds_each_sets_full_vectors_once():
     for k in range(state_set.n_parties):
         brute_force_constraints(state_set, k)
     assert certifier._full_vectors.cache_info().misses == 1
-    full, norms = certifier._full_vectors(state_set)
+    full, norms, (iu, jv) = certifier._full_vectors(state_set)
     assert full.shape == (len(state_set), 24) and norms.shape == (len(state_set),)
-    assert not full.flags.writeable and not norms.flags.writeable
-
-
-def test_brute_force_builds_each_sets_pair_indices_once():
-    certifier._pair_indices.cache_clear()
-    state_set = theorem4_set((2, 3, 4))
-    for k in range(state_set.n_parties):
-        brute_force_constraints(state_set, k)
-    assert certifier._pair_indices.cache_info().misses == 1
-    iu, jv = certifier._pair_indices(len(state_set))
     assert_array_equal(np.stack([iu, jv]), np.triu_indices(len(state_set), 1))
-    assert not iu.flags.writeable and not jv.flags.writeable
+    assert not any(a.flags.writeable for a in (full, norms, iu, jv))
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,18 @@ def test_certify_duplicate_state_reports_not_orthogonal(tmp_path, capsys):
     state_file = tmp_path / "dup.json"
     dump_state_set(dup, state_file)
     assert main(["certify", str(state_file)]) == 1
-    assert "NOT_ORTHOGONAL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "orthogonality : FAIL (max residual 1.000e+00, tol 1e-10)" in lines
+    assert "verdict       : NOT_ORTHOGONAL" in lines
+
+
+def test_certify_a_set_of_fewer_than_two_states_exits_1(tmp_path, capsys):
+    # Each d = 1 party's only operator is the identity, but there is nothing to tell apart.
+    state_file = tmp_path / "empty.json"
+    state_file.write_text(
+        '{"format_version": "nlops-1", "dims": [1, 1], "label": "", "states": []}')
+    assert main(["certify", str(state_file)]) == 1
+    assert "verdict       : NOT_CERTIFIED" in capsys.readouterr().out.splitlines()
 
 
 def test_certify_malformed_file_exits_2(tmp_path, capsys):
@@ -364,27 +375,6 @@ def test_bad_usage_exits_2():
     assert exc.value.code == 2
 
 
-def test_selftest_full_run_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "[FAIL]" not in out
-
-
-def test_selftest_subset_passes(capsys):
-    assert main(["selftest", "--max-total-dim", "64"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "[FAIL]" not in out
-
-
-def test_selftest_detects_misconfigured_rank_tolerance(capsys):
-    code = main(["selftest", "--max-total-dim", "512", "--tol-rank", "0.1"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "[FAIL]" in out
-
-
 def _selftest_lines(capsys, *argv):
     code = main(["selftest", *argv])
     *lines, summary = capsys.readouterr().out.splitlines()
@@ -396,34 +386,50 @@ def _selftest_lines(capsys, *argv):
 SWEEP_KINDS = ("count", "orthogonality", "certify", "oracle-equivalence")
 
 
-@pytest.mark.parametrize("argv, certified", [((), 60), (("--max-total-dim", "64"), 18)])
-def test_selftest_checks_per_kind(capsys, argv, certified):
-    lines = _selftest_lines(capsys, *argv)
-    kinds = Counter(line.split()[1] for line in lines)
-    assert kinds == {
-        "roots-of-unity": 15, "vandermonde-roots-identity": 7,
-        "leave-one-out-determinants": 7, "cramer-vs-dense-solver": 1,
-        "count": 64, "orthogonality": 66, "certify": certified,
-        "oracle-equivalence": certified, "negative-control": 2,
-    }
+def _kinds(certified, oracled):
+    return {"roots-of-unity": 15, "vandermonde-roots-identity": 7,
+            "leave-one-out-determinants": 7, "cramer-vs-dense-solver": 1,
+            "count": 64, "orthogonality": 66, "certify": certified,
+            "oracle-equivalence": oracled, "negative-control": 2}
+
+
+# One row per selftest mode: its exit code, its summary line, its checks per
+# kind, the (kind, label) of each failed check, and the certified sets whose
+# oracle is skipped.  Both n = 5, d = 6 sets (composite dimension 7776) are
+# certified, but the full-vector oracle stops at MAX_BRUTE_FORCE_DIM = 4096.
+# With --tol-rank 0.1 the rank decision is too coarse for four checks.
+@pytest.mark.parametrize("argv, code, summary, kinds, failed, unoracled", [
+    pytest.param((), 0, "selftest: 282/282 checks passed", _kinds(60, 60), set(), set(),
+                 id="full"),
+    pytest.param(("--max-total-dim", "64"), 0, "selftest: 198/198 checks passed",
+                 _kinds(18, 18), set(), set(), id="subset"),
+    pytest.param(("--max-total-dim", "512", "--tol-rank", "0.1"), 1,
+                 "selftest: 240/244 checks passed", _kinds(41, 41),
+                 {("certify", "theorem1 n=3 d=8"), ("oracle-equivalence", "theorem1 n=3 d=8"),
+                  ("oracle-equivalence", "theorem4 dims=5x4x2x2x3"),
+                  ("oracle-equivalence", "theorem4 dims=4x2x3x4x5")}, set(), id="coarse"),
+    pytest.param(("--max-total-dim", "8000"), 0, "selftest: 284/284 checks passed",
+                 _kinds(62, 60), set(), {"theorem1 n=5 d=6", "theorem2 n=5 d=6"},
+                 id="above-oracle-bound"),
+])
+def test_selftest_battery(capsys, argv, code, summary, kinds, failed, unoracled):
+    assert main(["selftest", *argv]) == code
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == summary
+    # A line reads "[PASS] kind label" or "[FAIL] kind label  detail".
+    checks = [line.split("  ")[0].split(maxsplit=2) for line in lines]
+    assert Counter(kind for _, kind, *_ in checks) == kinds
+    assert {tuple(check[1:]) for check in checks if check[0] == "[FAIL]"} == failed
+    sweep = [tuple(check[1:]) for check in checks if check[1] in SWEEP_KINDS]
+    certified = {label for kind, label in sweep if kind == "certify"}
+    oracled = {label for kind, label in sweep if kind == "oracle-equivalence"}
+    assert certified - oracled == unoracled
     # each sweep set's checks are printed together, in a fixed order
-    sweep = [line.split(maxsplit=2)[1:] for line in lines if line.split()[1] in SWEEP_KINDS]
     for (kind, label), (next_kind, next_label) in zip(sweep, sweep[1:]):
         if next_label == label:
             assert SWEEP_KINDS.index(kind) < SWEEP_KINDS.index(next_kind)
     groups = [label for label, _ in groupby(label for _, label in sweep)]
     assert len(groups) == len(set(groups)) == 66
-
-
-def test_selftest_skips_the_oracle_above_its_bound(capsys):
-    # Both n = 5, d = 6 sets (composite dimension 7776) are certified, but the
-    # full-vector oracle stops at MAX_BRUTE_FORCE_DIM = 4096.
-    lines = _selftest_lines(capsys, "--max-total-dim", "8000")
-    assert len(lines) == 284
-    for family in ("theorem1", "theorem2"):
-        label = f"{family} n=5 d=6"
-        assert f"[PASS] certify {label}" in lines
-        assert not [line for line in lines if line.endswith(label) and "oracle" in line]
 
 
 def test_selftest_reads_each_party_of_each_set_once(capsys, monkeypatch):

@@ -27,9 +27,10 @@ def test_locally_indistinguishable_sets_are_certified(state_set, parties):
             for k in range(state_set.n_parties)] == [1] * state_set.n_parties
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (1, 1), (1, 1, 1)])
 def test_product_bases_are_not_certified(dims):
     # Each party may measure in its own basis: every diagonal operator is admissible.
+    # A one-state basis, every d = 1, has nothing to tell apart.
     state_set = product_basis(dims)
     cert = certify_nonlocal(state_set)
     assert cert.verdict == "NOT_CERTIFIED"
